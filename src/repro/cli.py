@@ -31,7 +31,7 @@ from repro.core import AStitchCompiler
 from repro.gpu.spec import A100, T4, V100
 from repro.ir.printer import format_graph, format_summary
 from repro.runtime import CompileCache, CompileService, Engine, \
-    default_service
+    default_cache, default_service
 from repro.workloads import WORKLOADS, build, micro
 
 COMPILERS = {
@@ -233,10 +233,8 @@ def cmd_warmup(args) -> int:
     modules persist on disk, so later runs — including in fresh
     processes — start with a warm cache.
     """
-    if args.cache_dir:
-        cache = CompileCache(cache_dir=args.cache_dir)
-    else:
-        cache = CompileCache.from_env()
+    cache = (CompileCache(cache_dir=args.cache_dir) if args.cache_dir
+             else default_cache())
     service = CompileService(cache=cache, max_workers=args.workers)
     names = [c for c in args.compilers.split(",") if c]
     for name in names:
@@ -560,7 +558,6 @@ def cmd_cache_stats(_args) -> int:
     persistent directory is configured, the entry counts per tier on
     disk.
     """
-    from repro.runtime.compile_cache import default_cache
     from repro.runtime.plan import default_plan_cache
     from repro.tuning import default_tuning_cache
 

@@ -58,15 +58,17 @@ class _KernelOp:
             for operand in node.operands:
                 if operand in local_of:
                     specs.append(("l", local_of[operand]))
-                elif operand in input_set:
-                    if operand not in stored:
-                        error = (ExecutionError,
-                                 f"kernel {kernel.name} reads "
-                                 f"{operand.name} before any step stored it")
-                        break
+                elif operand in input_set and operand in stored:
                     specs.append(("e", env_slot(operand)))
                 elif operand.kind is OpKind.CONSTANT:
+                    # Kernel formation may declare a folded constant as
+                    # an input although no step ever stores it.
                     specs.append(("c", evaluate_node(operand, [])))
+                elif operand in input_set:
+                    error = (ExecutionError,
+                             f"kernel {kernel.name} reads "
+                             f"{operand.name} before any step stored it")
+                    break
                 else:
                     error = (ExecutionError,
                              f"kernel {kernel.name} reads {operand.name} "

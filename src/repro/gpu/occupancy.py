@@ -7,106 +7,32 @@ shared-memory limits, and one *wave* is that residency times the SM count.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
-import os
-import threading
 
 from repro.gpu.spec import GPUSpec
+from repro.store import TieredStore
 
 # Distinct (spec, launch config) pairs are few — a handful of specs times
-# the block sizes the mapping strategies emit — so a bounded memo turns
-# every repeated lookup into a dict hit.  GPUSpec is a frozen dataclass,
-# hence hashable by value: two equal specs share entries, a spec with any
-# field changed cannot alias.  The size is configurable (the autotuner's
-# candidate sweeps visit far more configs than the one-shot heuristics):
-# set ``REPRO_OCCUPANCY_CACHE_SIZE`` or call
-# :func:`set_occupancy_cache_size`.
-_CACHE_SIZE_ENV = "REPRO_OCCUPANCY_CACHE_SIZE"
-_DEFAULT_CACHE_SIZE = 4096
-
-
-class _BoundedMemo:
-    """A thread-safe LRU memo with a runtime-adjustable bound.
-
-    Replaces the module's former ``functools.lru_cache``: same LRU
-    behaviour, but the size can be reconfigured after import and the
-    clear hook is a first-class API instead of a decorator attribute.
-    Every entry keys on the full :class:`GPUSpec` value — never on a
-    default-argument snapshot — so mutating the "default" device between
-    calls cannot serve a stale result.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = max(1, maxsize)
-        self.hits = 0
-        self.misses = 0
-        self._entries: "collections.OrderedDict" = collections.OrderedDict()
-        self._lock = threading.Lock()
-
-    def lookup(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return entry
-
-    def store(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def resize(self, maxsize: int) -> None:
-        with self._lock:
-            self.maxsize = max(1, maxsize)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-def _initial_cache_size() -> int:
-    value = os.environ.get(_CACHE_SIZE_ENV)
-    if value is None:
-        return _DEFAULT_CACHE_SIZE
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return _DEFAULT_CACHE_SIZE
-
-
-_memo = _BoundedMemo(_initial_cache_size())
-
-
-def set_occupancy_cache_size(maxsize: int) -> None:
-    """Re-bound the occupancy memo (evicts LRU entries past the bound)."""
-    _memo.resize(maxsize)
+# the block sizes the mapping strategies and the autotuner's candidate
+# sweeps emit — so a bounded memo turns every repeated lookup into a
+# dict hit.  Entries key on the full GPUSpec value (a frozen dataclass):
+# two equal specs share entries, a spec with any field changed cannot
+# alias.
+_memo = TieredStore(capacity=4096)
 
 
 def clear_occupancy_cache() -> None:
-    """Drop every memoized occupancy entry (``repro.gpu.clear_caches``
-    is the one-stop helper that also resets the cost-model memos)."""
+    """Drop every memoized occupancy entry and zero its counters
+    (``repro.gpu.clear_caches`` is the one-stop helper that also resets
+    the cost-model memos)."""
     _memo.clear()
 
 
 def occupancy_cache_info() -> dict[str, int]:
     """Hit/miss/size counters of the occupancy memo."""
-    return {"hits": _memo.hits, "misses": _memo.misses,
-            "entries": len(_memo), "maxsize": _memo.maxsize}
+    return {"hits": _memo.stats.hits, "misses": _memo.stats.misses,
+            "entries": len(_memo), "maxsize": _memo.capacity}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,12 +69,12 @@ def occupancy(spec: GPUSpec, block_size: int, regs_per_thread: int = 32,
             large, or per-block shared memory above the hardware limit).
     """
     key = (spec, block_size, regs_per_thread, smem_per_block)
-    cached = _memo.lookup(key)
+    cached = _memo.get(key)
     if cached is not None:
         return cached
     result = _occupancy_uncached(spec, block_size, regs_per_thread,
                                  smem_per_block)
-    _memo.store(key, result)
+    _memo.put(key, result)
     return result
 
 

@@ -11,7 +11,6 @@ from repro.runtime.amp import convert_to_amp
 from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
-    PlanCacheStats,
     PlanKey,
     default_plan_cache,
     module_pricing_signature,
@@ -20,7 +19,6 @@ from repro.runtime.plan import (
 )
 from repro.runtime.compile_cache import (
     CacheKey,
-    CacheStats,
     CompileCache,
     compiler_fingerprint,
     default_cache,
@@ -34,16 +32,17 @@ from repro.runtime.compile_service import (
     set_default_service,
 )
 from repro.runtime.jit import JitCache, JitStats
+from repro.store import StoreStats
 from repro.runtime.trace import profile_to_chrome_trace, write_chrome_trace
 from repro.runtime.timeline import TimelineResult, schedule as schedule_streams
 from repro.runtime.session import Session
 
 __all__ = ["Engine", "EngineConfig", "Profile", "StepProfile",
            "convert_to_amp",
-           "ExecutionPlan", "PlanCache", "PlanCacheStats", "PlanKey",
+           "ExecutionPlan", "PlanCache", "PlanKey",
            "default_plan_cache", "module_pricing_signature", "plan_key",
            "set_default_plan_cache",
-           "CacheKey", "CacheStats", "CompileCache",
+           "CacheKey", "CompileCache", "StoreStats",
            "compiler_fingerprint", "default_cache", "set_default_cache",
            "CompileService", "ServiceStats", "WarmupReport",
            "default_service", "set_default_service",

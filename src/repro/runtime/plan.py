@@ -23,22 +23,16 @@ The cache key never trusts object identity:
   dataclass values — changing a single ``GPUSpec`` field or overriding
   ``COMPILED_DISPATCH_LATENCY`` is a guaranteed miss.
 
-Two tiers, riding the same machinery as the compile cache of
-:mod:`repro.runtime.compile_cache`: a bounded in-memory LRU with
-hit/miss/eviction counters, and — when ``REPRO_COMPILE_CACHE_DIR`` is
-set — pickled plans next to the persisted compiled modules, so a warm
-process leaves behind both the artifact and its price.
+Plans live in the shared :class:`~repro.store.TieredStore`: a bounded
+in-memory LRU and — when ``REPRO_COMPILE_CACHE_DIR`` is set —
+``plan_<digest>.pkl`` files next to the persisted compiled modules, so
+a warm process leaves behind both the artifact and its price.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
-import os
-import pathlib
-import pickle
-import threading
 from typing import Optional
 
 from repro.codegen.builder import kernel_cost_inputs
@@ -48,7 +42,7 @@ from repro.gpu.counters import PerfCounters, aggregate
 from repro.gpu.spec import GPUSpec
 from repro.ir.fingerprint import graph_fingerprint
 from repro.runtime.engine import EngineConfig, Profile, StepProfile
-from repro.runtime.compile_cache import CACHE_DIR_ENV
+from repro.store import ProcessDefault, TieredStore
 
 # Bump on any change to the plan payload, the signature encoding or the
 # key composition; invalidates every persisted plan at once.
@@ -206,179 +200,26 @@ def plan_key(module: CompiledModule, spec: GPUSpec,
                    pipeline=getattr(module, "pipeline_fingerprint", ""))
 
 
-@dataclasses.dataclass
-class PlanCacheStats:
-    """Plan-cache behaviour counters.
+class PlanCache(TieredStore[PlanKey, ExecutionPlan]):
+    """Two-tier store of execution plans (``plan_<digest>.pkl`` on disk,
+    beside the compiled modules)."""
 
-    Attributes:
-        hits: Requests served from the in-memory tier.
-        disk_hits: Requests served from the persistent tier (and
-            promoted into memory).
-        misses: Requests neither tier could serve.
-        evictions: Entries dropped from memory by the LRU bound.
-        disk_stores: Plans written to the persistent tier.
-    """
-
-    hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    disk_stores: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.disk_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.requests:
-            return 0.0
-        return (self.hits + self.disk_hits) / self.requests
+    prefix = "plan_"
+    version = PLAN_FORMAT_VERSION
+    default_capacity = DEFAULT_CAPACITY
+    value_type = ExecutionPlan
 
 
-class PlanCache:
-    """Two-tier (memory LRU + optional disk) store of execution plans.
-
-    Thread-safe: serving workers and session threads share the
-    process-wide instance.
-
-    Args:
-        capacity: In-memory entry bound; least recently used past it.
-        cache_dir: Directory for the persistent tier (shared with the
-            compile cache — plans are stored as ``plan_<digest>.pkl``);
-            ``None`` keeps the cache memory-only.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str | os.PathLike] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.cache_dir = (pathlib.Path(cache_dir)
-                          if cache_dir is not None else None)
-        self.stats = PlanCacheStats()
-        self._entries: "collections.OrderedDict[PlanKey, ExecutionPlan]" \
-            = collections.OrderedDict()
-        self._lock = threading.RLock()
-
-    @classmethod
-    def from_env(cls, capacity: int = DEFAULT_CAPACITY) -> "PlanCache":
-        """A cache whose persistent tier rides the compile cache's
-        directory: set ``REPRO_COMPILE_CACHE_DIR`` to enable it."""
-        return cls(capacity=capacity,
-                   cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-
-    # -- lookup / store -----------------------------------------------------
-
-    def get(self, key: PlanKey) -> Optional[ExecutionPlan]:
-        """The cached plan for ``key``, or None (counts a miss)."""
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return plan
-            plan = self._disk_load(key)
-            if plan is not None:
-                self.stats.disk_hits += 1
-                self._insert(key, plan)
-                return plan
-            self.stats.misses += 1
-            return None
-
-    def put(self, key: PlanKey, plan: ExecutionPlan) -> None:
-        """Store ``plan`` in both tiers (disk only when configured)."""
-        with self._lock:
-            self._insert(key, plan)
-            self._disk_store(key, plan)
-
-    def _insert(self, key: PlanKey, plan: ExecutionPlan) -> None:
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the persistent tier is untouched)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # -- persistent tier ----------------------------------------------------
-
-    def _path(self, key: PlanKey) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"plan_{key.digest()}.pkl"
-
-    def _disk_load(self, key: PlanKey) -> Optional[ExecutionPlan]:
-        path = self._path(key)
-        if path is None:
-            return None
-        try:
-            payload = pickle.loads(path.read_bytes())
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != PLAN_FORMAT_VERSION
-                or payload.get("key") != key):
-            return None
-        plan = payload.get("plan")
-        return plan if isinstance(plan, ExecutionPlan) else None
-
-    def _disk_store(self, key: PlanKey, plan: ExecutionPlan) -> None:
-        path = self._path(key)
-        if path is None:
-            return
-        payload = {"version": PLAN_FORMAT_VERSION, "key": key,
-                   "plan": plan}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            tmp.replace(path)
-        except OSError:
-            return  # a read-only cache dir degrades to memory-only
-        self.stats.disk_stores += 1
-
-    def __repr__(self) -> str:
-        tier = str(self.cache_dir) if self.cache_dir else "memory-only"
-        return (f"PlanCache(entries={len(self)}/{self.capacity}, "
-                f"dir={tier}, hits={self.stats.hits}, "
-                f"disk_hits={self.stats.disk_hits}, "
-                f"misses={self.stats.misses})")
-
-
-# -- process-wide default -----------------------------------------------------
-
-_default_plan_cache: Optional[PlanCache] = None
-_default_lock = threading.Lock()
+_default = ProcessDefault(PlanCache)
 
 
 def default_plan_cache() -> PlanCache:
     """The process-wide plan cache every engine shares by default
     (created lazily; honours ``REPRO_COMPILE_CACHE_DIR``)."""
-    global _default_plan_cache
-    with _default_lock:
-        if _default_plan_cache is None:
-            _default_plan_cache = PlanCache.from_env()
-        return _default_plan_cache
+    return _default.get()
 
 
 def set_default_plan_cache(cache: Optional[PlanCache]) -> None:
     """Replace the process-wide plan cache (``None`` resets to lazy
     re-creation — used by tests and benches to isolate themselves)."""
-    global _default_plan_cache
-    with _default_lock:
-        _default_plan_cache = cache
+    _default.set(cache)

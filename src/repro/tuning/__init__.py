@@ -9,7 +9,7 @@ worse than untuned.
 """
 
 from repro.tuning.cache import (DEFAULT_CAPACITY, TUNING_FORMAT_VERSION,
-                                TuningCache, TuningCacheStats, TuningKey,
+                                TuningCache, TuningKey,
                                 default_tuning_cache,
                                 set_default_tuning_cache)
 from repro.tuning.tuner import (ASSUMED_REGISTER_BOUND, GroupSignature,
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "TUNING_FORMAT_VERSION",
     "TuningCache",
-    "TuningCacheStats",
     "TuningKey",
     "GroupSignature",
     "GroupTuner",

@@ -8,29 +8,21 @@ tuning-relevant compiler configuration.  This module stores the winning
 decision under exactly that key, so a shape that was tuned once — by any
 session, in any process — never pays the candidate sweep again.
 
-Two tiers, riding the same machinery (and the same
-``REPRO_COMPILE_CACHE_DIR`` directory) as the compile cache of
-:mod:`repro.runtime.compile_cache` and the plan cache of
-:mod:`repro.runtime.plan`: a bounded in-memory LRU with
-hit/miss/eviction counters, and pickled decisions stored as
-``tune_<digest>.pkl`` next to the compiled modules and plans.  Entries
-are validated against the format version *and* the full key on load, so
-a stale or foreign file degrades to a miss, never a wrong config.
+Decisions live in the shared :class:`~repro.store.TieredStore`, like
+compiled modules and plans: a bounded in-memory LRU and
+``tune_<digest>.pkl`` files in the same ``REPRO_COMPILE_CACHE_DIR``
+directory.  A stale or foreign file degrades to a miss, never a wrong
+config.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
-import os
-import pathlib
-import pickle
-import threading
 from typing import Any, Optional
 
 from repro.gpu.spec import GPUSpec
-from repro.runtime.compile_cache import CACHE_DIR_ENV
+from repro.store import ProcessDefault, TieredStore
 
 # Bump on any change to the decision payload, the candidate space, the
 # signature encoding or the key composition; invalidates every
@@ -67,180 +59,25 @@ class TuningKey:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclasses.dataclass
-class TuningCacheStats:
-    """Tuning-cache behaviour counters.
+class TuningCache(TieredStore[TuningKey, Any]):
+    """Two-tier store of tuned decisions (``tune_<digest>.pkl`` on disk,
+    beside the compiled modules and plans)."""
 
-    Attributes:
-        hits: Requests served from the in-memory tier.
-        disk_hits: Requests served from the persistent tier (and
-            promoted into memory).
-        misses: Requests neither tier could serve (a candidate sweep
-            ran).
-        evictions: Entries dropped from memory by the LRU bound.
-        disk_stores: Decisions written to the persistent tier.
-    """
-
-    hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    disk_stores: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.disk_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.requests:
-            return 0.0
-        return (self.hits + self.disk_hits) / self.requests
+    prefix = "tune_"
+    version = TUNING_FORMAT_VERSION
+    default_capacity = DEFAULT_CAPACITY
 
 
-class TuningCache:
-    """Two-tier (memory LRU + optional disk) store of tuned decisions.
-
-    Thread-safe: compile-service workers tuning different graphs share
-    the process-wide instance.
-
-    Args:
-        capacity: In-memory entry bound; least recently used past it.
-        cache_dir: Directory for the persistent tier (shared with the
-            compile/plan tiers — decisions are stored as
-            ``tune_<digest>.pkl``); ``None`` keeps the cache
-            memory-only.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str | os.PathLike] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.cache_dir = (pathlib.Path(cache_dir)
-                          if cache_dir is not None else None)
-        self.stats = TuningCacheStats()
-        self._entries: "collections.OrderedDict[TuningKey, Any]" = \
-            collections.OrderedDict()
-        self._lock = threading.RLock()
-
-    @classmethod
-    def from_env(cls, capacity: int = DEFAULT_CAPACITY) -> "TuningCache":
-        """A cache whose persistent tier rides the compile cache's
-        directory: set ``REPRO_COMPILE_CACHE_DIR`` to enable it."""
-        return cls(capacity=capacity,
-                   cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-
-    # -- lookup / store -----------------------------------------------------
-
-    def get(self, key: TuningKey):
-        """The cached decision for ``key``, or None (counts a miss)."""
-        with self._lock:
-            decision = self._entries.get(key)
-            if decision is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return decision
-            decision = self._disk_load(key)
-            if decision is not None:
-                self.stats.disk_hits += 1
-                self._insert(key, decision)
-                return decision
-            self.stats.misses += 1
-            return None
-
-    def put(self, key: TuningKey, decision) -> None:
-        """Store ``decision`` in both tiers (disk only when configured)."""
-        with self._lock:
-            self._insert(key, decision)
-            self._disk_store(key, decision)
-
-    def _insert(self, key: TuningKey, decision) -> None:
-        self._entries[key] = decision
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the persistent tier is untouched)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: TuningKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # -- persistent tier ----------------------------------------------------
-
-    def _path(self, key: TuningKey) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"tune_{key.digest()}.pkl"
-
-    def _disk_load(self, key: TuningKey):
-        path = self._path(key)
-        if path is None:
-            return None
-        try:
-            payload = pickle.loads(path.read_bytes())
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != TUNING_FORMAT_VERSION
-                or payload.get("key") != key):
-            return None
-        return payload.get("decision")
-
-    def _disk_store(self, key: TuningKey, decision) -> None:
-        path = self._path(key)
-        if path is None:
-            return
-        payload = {"version": TUNING_FORMAT_VERSION, "key": key,
-                   "decision": decision}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            tmp.replace(path)
-        except OSError:
-            return  # a read-only cache dir degrades to memory-only
-        self.stats.disk_stores += 1
-
-    def __repr__(self) -> str:
-        tier = str(self.cache_dir) if self.cache_dir else "memory-only"
-        return (f"TuningCache(entries={len(self)}/{self.capacity}, "
-                f"dir={tier}, hits={self.stats.hits}, "
-                f"disk_hits={self.stats.disk_hits}, "
-                f"misses={self.stats.misses})")
-
-
-# -- process-wide default -----------------------------------------------------
-
-_default_tuning_cache: Optional[TuningCache] = None
-_default_lock = threading.Lock()
+_default = ProcessDefault(TuningCache)
 
 
 def default_tuning_cache() -> TuningCache:
     """The process-wide tuning cache every compile shares by default
     (created lazily; honours ``REPRO_COMPILE_CACHE_DIR``)."""
-    global _default_tuning_cache
-    with _default_lock:
-        if _default_tuning_cache is None:
-            _default_tuning_cache = TuningCache.from_env()
-        return _default_tuning_cache
+    return _default.get()
 
 
 def set_default_tuning_cache(cache: Optional[TuningCache]) -> None:
     """Replace the process-wide tuning cache (``None`` resets to lazy
     re-creation — used by tests and benches to isolate themselves)."""
-    global _default_tuning_cache
-    with _default_lock:
-        _default_tuning_cache = cache
+    _default.set(cache)

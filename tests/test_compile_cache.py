@@ -1,6 +1,7 @@
 """Tests for the content-addressed compilation cache."""
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.compilers import XLACompiler
 from repro.core import AStitchCompiler
 from repro.core.config import AStitchConfig
 from repro.gpu.spec import T4, V100
+from repro.ir.builder import GraphBuilder
 from repro.ir.fingerprint import graph_fingerprint
 from repro.ir.interpreter import random_feeds
 from repro.runtime import Engine
@@ -18,6 +20,9 @@ from repro.runtime.compile_cache import (
     CompileCache,
     compiler_fingerprint,
 )
+from repro.runtime.compile_service import CompileService
+from repro.runtime.plan import module_pricing_signature
+from repro.store import source_digest
 from repro.workloads import micro
 
 
@@ -30,6 +35,17 @@ def _key(graph, compiler=None, spec=V100, optimize=False):
 
 def _compile(graph, compiler=None, spec=V100):
     return (compiler or AStitchCompiler()).compile(graph, spec)
+
+
+def _tanh_chain(length, width=64):
+    """A ``length``-deep chain of elementwise ops: the deepest operand
+    nesting a module can carry into pickle."""
+    b = GraphBuilder(f"tanh_chain_{length}_{width}")
+    node = b.parameter("x", (8, width))
+    for _ in range(length):
+        node = b.tanh(node)
+    b.output(node)
+    return b.build()
 
 
 class TestCompilerFingerprint:
@@ -141,8 +157,8 @@ class TestPersistentTier:
         graph = micro.softmax_graph(8, 8)
         key = _key(graph)
         module = _compile(graph)
-        stale = {"version": CACHE_FORMAT_VERSION + 1, "key": key,
-                 "module": module}
+        stale = {"version": CACHE_FORMAT_VERSION + 1,
+                 "code": source_digest(), "key": key, "value": module}
         path = tmp_path / f"{key.digest()}.pkl"
         path.write_bytes(pickle.dumps(stale))
         assert CompileCache(cache_dir=tmp_path).get(key) is None
@@ -153,8 +169,9 @@ class TestPersistentTier:
         graph = micro.softmax_graph(8, 8)
         key = _key(graph)
         other = _key(graph, spec=T4)
-        payload = {"version": CACHE_FORMAT_VERSION, "key": other,
-                   "module": _compile(graph)}
+        payload = {"version": CACHE_FORMAT_VERSION,
+                   "code": source_digest(), "key": other,
+                   "value": _compile(graph)}
         path = tmp_path / f"{key.digest()}.pkl"
         path.write_bytes(pickle.dumps(payload))
         assert CompileCache(cache_dir=tmp_path).get(key) is None
@@ -168,3 +185,70 @@ class TestPersistentTier:
         assert cache.stats.evictions == 1
         assert cache.get(k1) is not None
         assert cache.stats.disk_hits == 1
+
+    def test_deep_chain_persists_at_default_recursion_limit(
+            self, tmp_path, monkeypatch):
+        """Pickling a 10k-node module needs no process-wide recursion
+        limit change (the graph pickles before the steps, in topological
+        order, so later node references are memo hits)."""
+        graph = _tanh_chain(10_000)
+        compiler = XLACompiler()
+        module = compiler.compile(graph, V100)
+        key = _key(graph, compiler=compiler)
+        limit = sys.getrecursionlimit()
+
+        def forbidden(_limit):
+            raise AssertionError("the recursion limit is process-wide")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        cache = CompileCache(cache_dir=tmp_path)
+        cache.put(key, module)
+        assert cache.stats.disk_stores == 1
+        served = CompileCache(cache_dir=tmp_path).get(key)
+        assert served is not None and served is not module
+        assert sys.getrecursionlimit() == limit
+        engine = Engine(V100, plan_cache=None)
+        assert engine.run(served) == engine.run(module)
+        assert (module_pricing_signature(served)
+                == module_pricing_signature(module))
+
+
+class TestConcurrentWrites:
+    def test_threaded_writers_all_land_on_disk(self, tmp_path):
+        """Worker threads persisting deep modules — and every worker
+        writing the same key through its own store — leave only whole
+        entries that a fresh store serves from disk.
+
+        Each writer gets its own copy of the shared module, as separate
+        processes would, and the switch interval keeps its default: on
+        CPython 3.11, threads pickling one shared object graph under
+        ``sys.setswitchinterval(1e-5)`` have crashed the interpreter
+        later in the run, whatever store wrote the bytes.  File I/O
+        releases the interpreter lock, so writes interleave anyway."""
+        compiler = XLACompiler()
+        graphs = [_tanh_chain(1_000 + 100 * i) for i in range(6)]
+        shared_graph = _tanh_chain(5_000, width=32)
+        shared_module = compiler.compile(shared_graph, V100)
+        service = CompileService(cache=CompileCache(cache_dir=tmp_path),
+                                 max_workers=4)
+        shared_key = service.key_for(shared_graph, compiler)
+        writers = [CompileCache(cache_dir=tmp_path) for _ in range(16)]
+        copies = [pickle.loads(pickle.dumps(shared_module))
+                  for _ in writers]
+        try:
+            futures = [service.submit(g, compiler) for g in graphs]
+            service.run_parallel([
+                (lambda w=w, m=copy: w.put(shared_key, m))
+                for w, copy in zip(writers, copies)])
+            for future in futures:
+                future.result(timeout=120)
+        finally:
+            service.shutdown()
+        assert service.cache.stats.disk_stores == len(graphs)
+        assert [w.stats.disk_stores for w in writers] == [1] * len(writers)
+        assert not list(tmp_path.glob("*.tmp*"))
+        fresh = CompileCache(cache_dir=tmp_path)
+        keys = [service.key_for(g, compiler) for g in graphs] + [shared_key]
+        assert all(fresh.get(key) is not None for key in keys)
+        assert fresh.stats.disk_hits == len(keys)
+        assert fresh.stats.misses == 0

@@ -215,13 +215,6 @@ class TestPlanCache:
         assert load.get(key) is None
         assert load.stats.misses == 1
 
-    def test_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
-        cache = PlanCache.from_env()
-        assert cache.cache_dir == tmp_path
-        monkeypatch.delenv("REPRO_COMPILE_CACHE_DIR")
-        assert PlanCache.from_env().cache_dir is None
-
     def test_default_cache_process_wide(self):
         try:
             set_default_plan_cache(None)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compilers import XLACompiler
+from repro.compilers import (AnsorCompiler, CudaGraphCompiler,
+                             FusionStitchingCompiler, TensorFlowCompiler,
+                             TensorRTCompiler, TVMCompiler, XLACompiler)
 from repro.core import AStitchCompiler
 from repro.gpu.spec import T4
 from repro.ir.interpreter import evaluate, random_feeds
@@ -12,7 +14,7 @@ from repro.runtime.compile_service import CompileService
 from repro.runtime.session import Session
 from repro.runtime.timeline import schedule
 from repro.runtime.trace import timeline_to_chrome_trace
-from repro.workloads import micro
+from repro.workloads import micro, registry
 
 
 class TestSession:
@@ -78,6 +80,25 @@ class TestSession:
         feeds = random_feeds(graph, seed=44)
         got = session.run(graph, feeds)
         assert set(got) == {out.name for out in graph.outputs}
+
+    @pytest.mark.parametrize("compiler_cls", [
+        TensorFlowCompiler, XLACompiler, TVMCompiler, TensorRTCompiler,
+        AnsorCompiler, CudaGraphCompiler, FusionStitchingCompiler,
+        AStitchCompiler], ids=lambda cls: cls.__name__)
+    def test_folded_constants_execute(self, compiler_cls):
+        """Simplification folds non-scalar constants that kernel
+        formation declares as kernel inputs; no step stores them, so the
+        executor must evaluate them in place (BERT at batch 1 is the
+        cheapest registry graph that has them)."""
+        graph = registry.build_cached("BERT", batch=1)
+        service = CompileService(cache=CompileCache(), max_workers=0)
+        feeds = random_feeds(graph, seed=0)
+        got = Session(compiler_cls(), service=service).run(graph, feeds)
+        want = evaluate(graph, feeds)
+        assert set(got) == set(want)
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-4,
+                                       atol=1e-5)
 
 
 class TestSessionConcurrency:
