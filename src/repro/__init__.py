@@ -36,7 +36,7 @@ from repro.compilers import (
     XLACompiler,
 )
 from repro.core import AStitchCompiler, AStitchConfig, StitchScheme
-from repro.runtime import Engine, Profile, Session, convert_to_amp
+from repro.runtime import Engine, Session, convert_to_amp
 from repro.analysis import compare_compilers, geomean, render_table
 from repro.serving import max_sustainable_qps, run_loadtest
 
@@ -67,7 +67,6 @@ __all__ = [
     "AStitchConfig",
     "StitchScheme",
     "Engine",
-    "Profile",
     "Session",
     "convert_to_amp",
     "compare_compilers",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.runtime.engine import Profile
+from repro.runtime.plan import ExecutionPlan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Breakdown:
         return self.mem + self.overhead
 
 
-def breakdown_vs_baseline(profiles: dict[str, Profile],
+def breakdown_vs_baseline(profiles: dict[str, ExecutionPlan],
                           baseline: str = "XLA") -> list[Breakdown]:
     """Normalize every profile's MEM/OVERHEAD to the baseline's sum.
 

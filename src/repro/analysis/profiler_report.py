@@ -1,6 +1,6 @@
 """nvprof-style GPU summary for a profile.
 
-Renders a :class:`~repro.runtime.engine.Profile` the way
+Renders a :class:`~repro.runtime.plan.ExecutionPlan` the way
 ``nvprof --print-gpu-summary`` would: kernels aggregated by name family,
 sorted by total time, with calls / total / average / occupancy columns —
 the view the paper's performance-counter analyses start from.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from repro.analysis.tables import render_table
-from repro.runtime.engine import Profile
+from repro.runtime.plan import ExecutionPlan
 
 _SUFFIX = re.compile(r"[._]\d+$")
 
@@ -25,7 +25,7 @@ def kernel_family(name: str) -> str:
         name = stripped
 
 
-def gpu_summary(profile: Profile, top: int = 15) -> str:
+def gpu_summary(profile: ExecutionPlan, top: int = 15) -> str:
     """Aggregate kernels by family and render the summary table."""
     families: dict[str, dict] = {}
     for step in profile.steps:

@@ -9,7 +9,8 @@ from collections.abc import Iterable, Sequence
 from repro.compilers.base import Compiler
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.graph import Graph
-from repro.runtime.engine import Engine, Profile
+from repro.runtime.engine import Engine
+from repro.runtime.plan import ExecutionPlan
 
 
 @dataclasses.dataclass
@@ -24,7 +25,7 @@ class ComparisonResult:
     """
 
     graph_name: str
-    profiles: dict[str, Profile]
+    profiles: dict[str, ExecutionPlan]
     baseline: str = "TensorFlow"
 
     def time(self, compiler: str) -> float:
@@ -57,7 +58,7 @@ def compare_compilers(graph: Graph, compilers: Sequence[Compiler],
     engine = Engine(spec)
     futures = [(compiler, service.submit(graph, compiler, spec))
                for compiler in compilers]
-    profiles: dict[str, Profile] = {}
+    profiles: dict[str, ExecutionPlan] = {}
     for compiler, future in futures:
         try:
             module = future.result()

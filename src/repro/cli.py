@@ -365,7 +365,8 @@ def cmd_bench(args) -> int:
     mixed loadtest on a cold process state versus warm caches, the
     figure-harness pricing loop, and per-module plan build/replay
     micro-timings.  Exits non-zero when the warm/cold speedup misses
-    ``--floor`` or the fast path diverges from the scalar slow path.
+    ``--floor`` or the warm replay diverges from pricing from empty
+    caches.
     """
     import json
     import pathlib
@@ -389,8 +390,8 @@ def cmd_bench(args) -> int:
 
     failures = []
     if not payload["deterministic"]:
-        failures.append("plan fast path diverged from the scalar "
-                        "slow path")
+        failures.append("warm replay diverged from pricing from "
+                        "empty caches")
     speedup = payload["loadtest"]["speedup"]
     if speedup < args.floor:
         failures.append(f"warm loadtest only {speedup:.1f}x faster "

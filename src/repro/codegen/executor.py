@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall, Step
 from repro.ir.graph import Graph, Node
-from repro.ir.interpreter import compile_node, evaluate_node, library_call
+from repro.ir.interpreter import compile_node, library_call
 from repro.ir.ops import OpKind
 
 
@@ -63,7 +63,7 @@ class _KernelOp:
                 elif operand.kind is OpKind.CONSTANT:
                     # Kernel formation may declare a folded constant as
                     # an input although no step ever stores it.
-                    specs.append(("c", evaluate_node(operand, [])))
+                    specs.append(("c", compile_node(operand)([])))
                 elif operand in input_set:
                     error = (ExecutionError,
                              f"kernel {kernel.name} reads "
@@ -127,7 +127,7 @@ class _LibraryOp:
             if operand in stored:
                 self._specs.append(("e", env_slot(operand)))
             elif operand.kind is OpKind.CONSTANT:
-                self._specs.append(("c", evaluate_node(operand, [])))
+                self._specs.append(("c", compile_node(operand)([])))
             else:
                 self._error = (f"library call {node.name} reads "
                                f"{operand.name} before any step stored it")

@@ -122,17 +122,10 @@ class KernelCostModel:
             ValueError: If a global barrier is requested with more blocks
                 than one wave can host (would deadlock on hardware).
         """
-        cached = self._memo.get(inputs)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        self.memo_misses += 1
-        counters = self._price_uncached(inputs)
-        self._memo[inputs] = counters
-        return counters
+        return self.price_batch((inputs,))[0]
 
-    def _price_uncached(self, inputs: KernelCostInputs) -> PerfCounters:
-        """The scalar reference pricing path (no memo, no vectorization)."""
+    def _roofline(self, inputs: KernelCostInputs) -> dict[str, float]:
+        """The scalar roofline terms of one kernel (no memo)."""
         spec = self.spec
         occ = achieved_occupancy(spec, inputs.grid_size, inputs.block_size,
                                  inputs.regs_per_thread,
@@ -140,27 +133,41 @@ class KernelCostModel:
         sm_eff = sm_efficiency(spec, inputs.grid_size, inputs.block_size,
                                inputs.regs_per_thread,
                                inputs.smem_per_block)
-
-        mem_t = self.memory_time(inputs, occ)
-        comp_t = self.compute_time(inputs, sm_eff, occ)
         wave = occupancy(spec, inputs.block_size, inputs.regs_per_thread,
                          inputs.smem_per_block).blocks_per_wave
-        wave_floor = math.ceil(inputs.grid_size / wave) * _WAVE_LATENCY
-        time = max(mem_t, comp_t, wave_floor) + _KERNEL_RAMP
+        return {
+            "memory_time": self.memory_time(inputs, occ),
+            "compute_time": self.compute_time(inputs, sm_eff, occ),
+            "wave_floor": math.ceil(inputs.grid_size / wave)
+            * _WAVE_LATENCY,
+            "barrier_time": (inputs.num_global_barriers
+                             * global_barrier_latency(spec,
+                                                      inputs.grid_size)
+                             if inputs.num_global_barriers else 0.0),
+            "atomic_time": inputs.num_atomic_rounds * spec.atomic_latency,
+            "achieved_occupancy": occ,
+            "sm_efficiency": sm_eff,
+        }
 
-        if inputs.num_global_barriers:
-            time += inputs.num_global_barriers * global_barrier_latency(
-                spec, inputs.grid_size)
-        if inputs.num_atomic_rounds:
-            time += inputs.num_atomic_rounds * spec.atomic_latency
+    def _price_uncached(self, inputs: KernelCostInputs) -> PerfCounters:
+        """The scalar reference pricing path (no memo, no vectorization).
 
-        tx = spec.dram_transaction_bytes
+        The oracle the vectorized :meth:`price_batch` is tested against.
+        The zero barrier/atomic terms are added unconditionally, which
+        is exact: ``x + 0.0 == x`` for every finite ``x``.
+        """
+        terms = self._roofline(inputs)
+        time = max(terms["memory_time"], terms["compute_time"],
+                   terms["wave_floor"]) + _KERNEL_RAMP
+        time += terms["barrier_time"]
+        time += terms["atomic_time"]
+        tx = self.spec.dram_transaction_bytes
         return PerfCounters(
             dram_read_transactions=math.ceil(inputs.bytes_read / tx),
             dram_write_transactions=math.ceil(inputs.bytes_written / tx),
             inst_fp_32=int(round(inputs.fp_instructions)),
-            achieved_occupancy=occ,
-            sm_efficiency=sm_eff,
+            achieved_occupancy=terms["achieved_occupancy"],
+            sm_efficiency=terms["sm_efficiency"],
             duration=time,
         )
 
@@ -261,35 +268,12 @@ class KernelCostModel:
         (``achieved_occupancy``, ``sm_efficiency``) and ``bound_by`` —
         which candidate set the kernel's time.
         """
-        spec = self.spec
-        occ = achieved_occupancy(spec, inputs.grid_size, inputs.block_size,
-                                 inputs.regs_per_thread,
-                                 inputs.smem_per_block)
-        sm_eff = sm_efficiency(spec, inputs.grid_size, inputs.block_size,
-                               inputs.regs_per_thread,
-                               inputs.smem_per_block)
-        mem_t = self.memory_time(inputs, occ)
-        comp_t = self.compute_time(inputs, sm_eff, occ)
-        wave = occupancy(spec, inputs.block_size, inputs.regs_per_thread,
-                         inputs.smem_per_block).blocks_per_wave
-        wave_floor = math.ceil(inputs.grid_size / wave) * _WAVE_LATENCY
-        barrier_t = (inputs.num_global_barriers
-                     * global_barrier_latency(spec, inputs.grid_size)
-                     if inputs.num_global_barriers else 0.0)
-        atomic_t = inputs.num_atomic_rounds * spec.atomic_latency
-        candidates = {"memory": mem_t, "compute": comp_t,
-                      "wave_floor": wave_floor}
-        bound_by = max(candidates, key=candidates.get)
-        return {
-            "memory_time": mem_t,
-            "compute_time": comp_t,
-            "wave_floor": wave_floor,
-            "barrier_time": barrier_t,
-            "atomic_time": atomic_t,
-            "achieved_occupancy": occ,
-            "sm_efficiency": sm_eff,
-            "bound_by": bound_by,
-        }
+        terms: dict[str, float | str] = dict(self._roofline(inputs))
+        candidates = {"memory": terms["memory_time"],
+                      "compute": terms["compute_time"],
+                      "wave_floor": terms["wave_floor"]}
+        terms["bound_by"] = max(candidates, key=candidates.get)
+        return terms
 
     def price_durations(self, inputs_list: Sequence[KernelCostInputs],
                         ) -> list[float]:

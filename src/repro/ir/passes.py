@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.ir.graph import Graph, Node, constant_value
-from repro.ir.interpreter import evaluate_node
+from repro.ir.interpreter import compile_node
 from repro.ir.ops import OpKind
 
 PassFn = Callable[[Graph], tuple[Graph, int]]
@@ -179,7 +179,7 @@ def constant_folding(graph: Graph) -> tuple[Graph, int]:
         mapped_ops = [rebuilder.mapping[op] for op in node.operands]
         if mapped_ops and all(op in constant_nodes for op in mapped_ops):
             values = [constant_value(op) for op in mapped_ops]
-            result = np.asarray(evaluate_node(node, values),
+            result = np.asarray(compile_node(node)(values),
                                 dtype=node.dtype.to_numpy())
             replacement = rebuilder.target.add(
                 OpKind.CONSTANT, (), node.shape, node.dtype,

@@ -6,7 +6,7 @@ split into MEM (memory-intensive kernels), compute (library calls) and
 OVERHEAD (launches, framework scheduling, memcpy) — the Fig 13 breakdown.
 """
 
-from repro.runtime.engine import Engine, EngineConfig, Profile, StepProfile
+from repro.runtime.engine import Engine, EngineConfig, StepProfile
 from repro.runtime.amp import convert_to_amp
 from repro.runtime.plan import (
     ExecutionPlan,
@@ -37,7 +37,7 @@ from repro.runtime.trace import profile_to_chrome_trace, write_chrome_trace
 from repro.runtime.timeline import TimelineResult, schedule as schedule_streams
 from repro.runtime.session import Session
 
-__all__ = ["Engine", "EngineConfig", "Profile", "StepProfile",
+__all__ = ["Engine", "EngineConfig", "StepProfile",
            "convert_to_amp",
            "ExecutionPlan", "PlanCache", "PlanKey",
            "default_plan_cache", "module_pricing_signature", "plan_key",

@@ -13,14 +13,17 @@ explore multi-stream execution, Sec 6.1.2):
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.codegen.builder import kernel_cost_inputs
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
 from repro.compilers.base import CompiledModule
 from repro.gpu.costmodel import cost_model_for
-from repro.gpu.counters import PerfCounters, aggregate
+from repro.gpu.counters import PerfCounters
 from repro.gpu.spec import GPUSpec, V100
+
+if TYPE_CHECKING:
+    from repro.runtime.plan import ExecutionPlan, PlanCache
 
 # Per-step dispatch cost of a compiled engine (stream enqueue, no full
 # framework executor round trip).
@@ -89,63 +92,15 @@ class StepProfile:
     counters: Optional[PerfCounters] = None
 
 
-@dataclasses.dataclass
-class Profile:
-    """The priced timeline of one iteration."""
-
-    module_name: str
-    graph_name: str
-    steps: list[StepProfile]
-
-    @property
-    def mem_time(self) -> float:
-        return sum(s.duration for s in self.steps if s.category == "mem")
-
-    @property
-    def compute_time(self) -> float:
-        return sum(s.duration for s in self.steps
-                   if s.category == "compute")
-
-    @property
-    def overhead_time(self) -> float:
-        return sum(s.overhead for s in self.steps)
-
-    @property
-    def total_time(self) -> float:
-        return self.mem_time + self.compute_time + self.overhead_time
-
-    @property
-    def mem_kernel_count(self) -> int:
-        return sum(1 for s in self.steps if s.category == "mem")
-
-    @property
-    def compute_kernel_count(self) -> int:
-        return sum(1 for s in self.steps if s.category == "compute")
-
-    @property
-    def memcpy_count(self) -> int:
-        return sum(1 for s in self.steps if s.category == "memcpy")
-
-    def mem_counters(self) -> list[PerfCounters]:
-        return [s.counters for s in self.steps
-                if s.category == "mem" and s.counters is not None]
-
-    def aggregate_mem_counters(self) -> PerfCounters:
-        return aggregate(self.mem_counters())
-
-
-_DEFAULT_PLAN_CACHE = object()  # sentinel: resolve the process-wide cache
-
-
 class Engine:
     """Prices compiled modules on a device model.
 
-    Pricing is plan-based: :meth:`plan` prices a module once into an
-    immutable :class:`~repro.runtime.plan.ExecutionPlan` keyed by
+    :meth:`plan` is the only pricing path: it prices a module once into
+    an immutable :class:`~repro.runtime.plan.ExecutionPlan` keyed by
     (module pricing signature, graph fingerprint, spec, engine config)
-    in a shared :class:`~repro.runtime.plan.PlanCache`; :meth:`run` is
-    then a cheap replay of the cached per-step timeline.  The serving
-    hot loops and the figure harnesses therefore pay the roofline
+    in a shared :class:`~repro.runtime.plan.PlanCache`, and every later
+    request replays the cached per-step timeline.  The serving hot
+    loops and the figure harnesses therefore pay the roofline
     arithmetic O(unique (module, spec, config)) times, not O(requests).
 
     Args:
@@ -154,18 +109,17 @@ class Engine:
             constants when omitted.
         plan_cache: Execution-plan store.  Defaults to the process-wide
             cache (:func:`~repro.runtime.plan.default_plan_cache`);
-            pass ``None`` to disable plan caching — every ``run``/
-            ``plan`` then re-prices (the slow path the determinism
-            guard compares against).
+            pass a fresh :class:`~repro.runtime.plan.PlanCache` for
+            isolation.
     """
 
     def __init__(self, spec: GPUSpec = V100,
                  config: Optional[EngineConfig] = None,
-                 plan_cache=_DEFAULT_PLAN_CACHE):
+                 plan_cache: Optional["PlanCache"] = None):
         self.spec = spec
         self.cost_model = cost_model_for(spec)
         self.config = config if config is not None else EngineConfig.current()
-        if plan_cache is _DEFAULT_PLAN_CACHE:
+        if plan_cache is None:
             from repro.runtime.plan import default_plan_cache
             plan_cache = default_plan_cache()
         self.plan_cache = plan_cache
@@ -190,10 +144,14 @@ class Engine:
 
     def price_step(self, step, launch: float,
                    dispatch: float) -> StepProfile:
-        """Price a single step under the given launch/dispatch costs."""
-        if isinstance(step, Kernel):
-            counters = self.cost_model.price(kernel_cost_inputs(step))
-            return self._kernel_profile(step, counters, launch, dispatch)
+        """Price one library call or memcpy under the given costs.
+
+        Kernels are not priced here: :meth:`build_plan` prices them all
+        in one batch pass through the cost model.
+
+        Raises:
+            TypeError: For kernels and unknown step types.
+        """
         if isinstance(step, LibraryCall):
             duration = self.cost_model.library_kernel_time(
                 step.flops(), step.bytes_moved())
@@ -213,19 +171,7 @@ class Engine:
                 duration=0.0,
                 overhead=self.spec.memcpy_latency + transfer,
             )
-        raise TypeError(f"unknown step type {type(step)}")
-
-    def _kernel_profile(self, step: Kernel, counters: PerfCounters,
-                        launch: float, dispatch: float) -> StepProfile:
-        return StepProfile(
-            name=step.name,
-            category="mem",
-            duration=counters.duration,
-            overhead=_visible_launch_overhead(
-                launch, counters.duration, self.config.launch_floor)
-            + dispatch,
-            counters=counters,
-        )
+        raise TypeError(f"price_step cannot price {type(step)}")
 
     def plan(self, module: CompiledModule) -> "ExecutionPlan":
         """The execution plan for ``module`` (priced on first use).
@@ -236,49 +182,42 @@ class Engine:
         model.
         """
         from repro.runtime.plan import plan_key
-        cache = self.plan_cache
-        if cache is None:
-            return self.build_plan(module)
         key = plan_key(module, self.spec, self.config)
-        plan = cache.get(key)
+        plan = self.plan_cache.get(key)
         if plan is None:
             plan = self.build_plan(module)
-            cache.put(key, plan)
+            self.plan_cache.put(key, plan)
         return plan
 
     def build_plan(self, module: CompiledModule) -> "ExecutionPlan":
         """Price every step of one iteration into an immutable plan.
 
         Memory-intensive kernels are priced through the cost model's
-        vectorized batch path — one NumPy pass over the whole module —
-        which is bit-identical to the scalar per-step path.
+        vectorized batch path — one NumPy pass over the whole module.
         """
         from repro.runtime.plan import ExecutionPlan
         launch, dispatch = self.launch_costs(module)
-        kernel_steps = [s for s in module.steps if isinstance(s, Kernel)]
+        kernels = [s for s in module.steps if isinstance(s, Kernel)]
         priced = iter(self.cost_model.price_batch(
-            [kernel_cost_inputs(k) for k in kernel_steps]))
+            [kernel_cost_inputs(k) for k in kernels]))
         steps = []
         for step in module.steps:
-            if isinstance(step, Kernel):
-                steps.append(self._kernel_profile(step, next(priced),
-                                                  launch, dispatch))
-            else:
+            if not isinstance(step, Kernel):
                 steps.append(self.price_step(step, launch, dispatch))
+                continue
+            counters = next(priced)
+            steps.append(StepProfile(
+                name=step.name,
+                category="mem",
+                duration=counters.duration,
+                overhead=_visible_launch_overhead(
+                    launch, counters.duration, self.config.launch_floor)
+                + dispatch,
+                counters=counters,
+            ))
         return ExecutionPlan.from_steps(module.compiler_name,
                                         module.graph.name, tuple(steps))
 
-    def run(self, module: CompiledModule) -> Profile:
-        """Price every step of one iteration (replayed from the plan)."""
-        return self.plan(module).profile()
-
-    def price_profile(self, module: CompiledModule) -> Profile:
-        """The reference slow path: scalar per-step pricing, no plans.
-
-        Kept as the oracle the determinism guard compares the plan/
-        vectorized fast path against — byte-identical output required.
-        """
-        launch, dispatch = self.launch_costs(module)
-        steps = [self.price_step(step, launch, dispatch)
-                 for step in module.steps]
-        return Profile(module.compiler_name, module.graph.name, steps)
+    def run(self, module: CompiledModule) -> "ExecutionPlan":
+        """The priced timeline of one iteration (same as :meth:`plan`)."""
+        return self.plan(module)

@@ -41,7 +41,7 @@ from repro.compilers.base import CompiledModule
 from repro.gpu.counters import PerfCounters, aggregate
 from repro.gpu.spec import GPUSpec
 from repro.ir.fingerprint import graph_fingerprint
-from repro.runtime.engine import EngineConfig, Profile, StepProfile
+from repro.runtime.engine import EngineConfig, StepProfile
 from repro.store import ProcessDefault, TieredStore
 
 # Bump on any change to the plan payload, the signature encoding or the
@@ -57,9 +57,11 @@ DEFAULT_CAPACITY = 512
 class ExecutionPlan:
     """The immutable priced timeline of one module iteration.
 
-    Replay is a cheap array walk: the per-step profiles and the
-    category totals are computed once at build time; :meth:`profile`
-    just wraps the stored steps in a fresh :class:`Profile`.
+    The only priced-timeline type: :meth:`Engine.run
+    <repro.runtime.engine.Engine.run>`, sessions, serving oracles and
+    the figure harnesses all read this object.  The per-step profiles
+    and the category totals are computed once at build time, so replay
+    is a cache lookup.
 
     Attributes:
         module_name: Compiler name that produced the module.
@@ -86,8 +88,7 @@ class ExecutionPlan:
     @classmethod
     def from_steps(cls, module_name: str, graph_name: str,
                    steps: tuple[StepProfile, ...]) -> "ExecutionPlan":
-        """Build a plan, totalling the steps exactly like ``Profile``
-        does (same iteration order, same float addition sequence)."""
+        """Build a plan, totalling the steps in execution order."""
         return cls(
             module_name=module_name,
             graph_name=graph_name,
@@ -110,15 +111,14 @@ class ExecutionPlan:
         """One iteration's seconds (MEM + compute + OVERHEAD)."""
         return self.mem_time + self.compute_time + self.overhead_time
 
-    def profile(self) -> Profile:
-        """Replay the plan as a :class:`Profile` (cheap; shares the
-        immutable step records)."""
-        return Profile(self.module_name, self.graph_name,
-                       list(self.steps))
+    def mem_counters(self) -> list[PerfCounters]:
+        """nvprof counters of every memory-intensive kernel, in order."""
+        return [s.counters for s in self.steps
+                if s.category == "mem" and s.counters is not None]
 
     def aggregate_mem_counters(self) -> PerfCounters:
-        return aggregate(s.counters for s in self.steps
-                         if s.category == "mem" and s.counters is not None)
+        """The memory-intensive kernels' counters combined (Table 5)."""
+        return aggregate(self.mem_counters())
 
 
 def module_pricing_signature(module: CompiledModule) -> str:
@@ -147,7 +147,7 @@ def module_pricing_signature(module: CompiledModule) -> str:
             entry = ("l", step.flops(), step.bytes_moved())
         elif isinstance(step, MemcpyCall):
             entry = ("m", step.nbytes)
-        else:  # priced by Engine.price_step, which will reject it
+        else:  # Engine.build_plan will reject it
             entry = ("?", type(step).__name__)
         digest.update(repr(entry).encode("utf-8"))
     signature = digest.hexdigest()

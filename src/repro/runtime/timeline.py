@@ -120,9 +120,8 @@ def schedule(module: CompiledModule, num_streams: int = 1,
     if num_streams < 1:
         raise ValueError("need at least one stream")
     engine = Engine(spec)
-    launch, dispatch = engine.launch_costs(module)
-    priced = [engine.price_step(step, launch, dispatch)
-              for step in module.steps]
+    _, dispatch = engine.launch_costs(module)
+    priced = engine.plan(module).steps
     deps = _step_dependencies(module)
 
     stream_free = [0.0] * num_streams

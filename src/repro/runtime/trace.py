@@ -1,7 +1,7 @@
 """Chrome-trace export of priced profiles.
 
-``profile_to_chrome_trace`` converts a :class:`~repro.runtime.engine.
-Profile` into the Trace Event Format that ``chrome://tracing`` and
+``profile_to_chrome_trace`` converts a :class:`~repro.runtime.plan.
+ExecutionPlan` into the Trace Event Format that ``chrome://tracing`` and
 Perfetto load — kernels and library calls on a GPU track, launch/
 framework overhead on a host track, memcpys on a copy-engine track.
 Timestamps are laid out sequentially (the paper does not explore
@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.runtime.engine import Profile
+from repro.runtime.plan import ExecutionPlan
 
 _TRACKS = {"mem": 1, "compute": 1, "memcpy": 2}
 _HOST_TRACK = 0
 
 
-def profile_to_chrome_trace(profile: Profile) -> dict[str, Any]:
+def profile_to_chrome_trace(profile: ExecutionPlan) -> dict[str, Any]:
     """Build a Trace-Event-Format dict for one iteration."""
     events = []
     cursor_us = 0.0
@@ -71,7 +71,7 @@ def profile_to_chrome_trace(profile: Profile) -> dict[str, Any]:
     }
 
 
-def write_chrome_trace(profile: Profile, path: str) -> None:
+def write_chrome_trace(profile: ExecutionPlan, path: str) -> None:
     """Serialize the trace to a JSON file loadable by chrome://tracing."""
     with open(path, "w") as handle:
         json.dump(profile_to_chrome_trace(profile), handle, indent=1)

@@ -109,8 +109,7 @@ class Cluster:
 
     @property
     def plan_cache(self):
-        """The execution-plan cache the fleet's pricing rides
-        (None when the oracle uses the scalar slow path)."""
+        """The execution-plan cache the fleet's pricing rides."""
         return self.oracle.plan_cache
 
     # -- scheduling decisions ---------------------------------------------------

@@ -46,7 +46,6 @@ def run_loadtest(workloads: Union[str, Mapping[str, float]],
                  max_depth: Optional[int] = None,
                  service=None,
                  oracle: Optional[ServiceTimeOracle] = None,
-                 use_plans: bool = True,
                  ) -> tuple[ServingResult, ServingReport]:
     """Run one deterministic load test on a fresh fleet.
 
@@ -67,10 +66,6 @@ def run_loadtest(workloads: Union[str, Mapping[str, float]],
         service: Compile service override (defaults to process-wide).
         oracle: Pre-warmed service-time oracle to reuse across tests
             (must match ``compiler``); one is built when omitted.
-        use_plans: Price through cached execution plans (the fast
-            path).  False forces the scalar re-pricing slow path — the
-            reports must be bit-identical either way (the determinism
-            guard asserts this).  Ignored when ``oracle`` is given.
 
     Returns:
         ``(result, report)`` — the raw simulation record and its
@@ -80,8 +75,7 @@ def run_loadtest(workloads: Union[str, Mapping[str, float]],
         from repro.core.compiler import AStitchCompiler
         compiler = AStitchCompiler()
     if oracle is None:
-        oracle = ServiceTimeOracle(compiler, service=service,
-                                   use_plans=use_plans)
+        oracle = ServiceTimeOracle(compiler, service=service)
     if isinstance(workloads, str):
         requests = poisson_arrivals(workloads, qps, duration,
                                     slo=slo, seed=seed)
@@ -147,8 +141,7 @@ def max_sustainable_qps(workload: str,
                         resolution: float = 0.25,
                         relative_resolution: float = 0.05,
                         max_violation_rate: float = 0.01,
-                        service=None,
-                        use_plans: bool = True) -> CapacityResult:
+                        service=None) -> CapacityResult:
     """Highest offered QPS whose p99 latency still meets the SLO.
 
     Doubles the offered rate until the fleet buckles (p99 above the
@@ -164,8 +157,7 @@ def max_sustainable_qps(workload: str,
     if compiler is None:
         from repro.core.compiler import AStitchCompiler
         compiler = AStitchCompiler()
-    oracle = ServiceTimeOracle(compiler, service=service,
-                               use_plans=use_plans)
+    oracle = ServiceTimeOracle(compiler, service=service)
     oracle.warm([workload], bucket_sizes(max_batch), list(specs))
     trials: list[CapacityPoint] = []
 

@@ -41,22 +41,18 @@ class ServiceTimeOracle:
         compiler: Compilation strategy the fleet runs.
         service: Compile service to route through; defaults to the
             process-wide shared one.
-        use_plans: Route pricing through cached execution plans.  Pass
-            False to re-price every first lookup through the scalar
-            slow path (the determinism guard's reference).
         plan_cache: Plan cache the oracle's engines share; defaults to
-            the process-wide one.  Ignored when ``use_plans`` is False.
+            the process-wide one.
     """
 
     def __init__(self, compiler: Compiler, service=None,
-                 use_plans: bool = True, plan_cache=None):
+                 plan_cache=None):
         if service is None:
             from repro.runtime.compile_service import default_service
             service = default_service()
         self.compiler = compiler
         self.service = service
-        self.use_plans = use_plans
-        if plan_cache is None and use_plans:
+        if plan_cache is None:
             from repro.runtime.plan import default_plan_cache
             plan_cache = default_plan_cache()
         self.plan_cache = plan_cache
@@ -66,8 +62,7 @@ class ServiceTimeOracle:
     def _engine(self, spec: GPUSpec) -> Engine:
         engine = self._engines.get(spec.name)
         if engine is None:
-            cache = self.plan_cache if self.use_plans else None
-            engine = Engine(spec, plan_cache=cache)
+            engine = Engine(spec, plan_cache=self.plan_cache)
             self._engines[spec.name] = engine
         return engine
 
@@ -80,11 +75,7 @@ class ServiceTimeOracle:
             from repro.workloads import build_cached
             graph = build_cached(workload, batch=bucket)
             module = self.service.compile(graph, self.compiler, spec)
-            engine = self._engine(spec)
-            if self.use_plans:
-                cached = engine.plan(module).total_time
-            else:
-                cached = engine.price_profile(module).total_time
+            cached = self._engine(spec).plan(module).total_time
             self._times[key] = cached
         return cached
 

@@ -21,7 +21,7 @@ from repro.runtime.compile_cache import (
     compiler_fingerprint,
 )
 from repro.runtime.compile_service import CompileService
-from repro.runtime.plan import module_pricing_signature
+from repro.runtime.plan import PlanCache, module_pricing_signature
 from repro.store import source_digest
 from repro.workloads import micro
 
@@ -207,8 +207,9 @@ class TestPersistentTier:
         served = CompileCache(cache_dir=tmp_path).get(key)
         assert served is not None and served is not module
         assert sys.getrecursionlimit() == limit
-        engine = Engine(V100, plan_cache=None)
-        assert engine.run(served) == engine.run(module)
+        # Priced independently: each plan comes from its own cache.
+        assert (Engine(V100, plan_cache=PlanCache()).run(served)
+                == Engine(V100, plan_cache=PlanCache()).run(module))
         assert (module_pricing_signature(served)
                 == module_pricing_signature(module))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codegen.kernel import MemcpyCall
+from repro.codegen.kernel import Kernel, MemcpyCall
 from repro.compilers import (
     CudaGraphCompiler,
     FusionStitchingCompiler,
@@ -17,6 +17,7 @@ from repro.runtime.engine import (
     _visible_launch_overhead,
 )
 from repro.gpu.spec import V100
+from repro.ir.builder import GraphBuilder
 from repro.workloads import micro
 
 
@@ -80,15 +81,28 @@ class TestStepPricing:
             engine.price_step(object(), 10e-6, 1e-6)
 
     def test_price_step_matches_run(self):
-        graph = micro.softmax_graph(128, 64)
-        module = XLACompiler().compile(graph)
+        b = GraphBuilder("dot_relu")
+        b.output(b.relu(b.dot(b.parameter("x", (64, 32)),
+                              b.parameter("w", (32, 48)))))
+        module = XLACompiler().compile(b.build())
         engine = Engine()
         profile = engine.run(module)
         launch, dispatch = engine.launch_costs(module)
+        checked = 0
         for step, priced in zip(module.steps, profile.steps):
+            if isinstance(step, Kernel):
+                continue
             again = engine.price_step(step, launch, dispatch)
             assert again.duration == priced.duration
             assert again.overhead == priced.overhead
+            checked += 1
+        assert checked
+
+    def test_kernels_priced_only_in_batch(self):
+        module = XLACompiler().compile(micro.softmax_graph(128, 64))
+        engine = Engine()
+        with pytest.raises(TypeError):
+            engine.price_step(module.kernels()[0], 10e-6, 1e-6)
 
 
 class TestCompilerNamePlumbing:

@@ -5,9 +5,14 @@ import pickle
 
 import pytest
 
+from repro.codegen.builder import kernel_cost_inputs
+from repro.codegen.kernel import Kernel
 from repro.compilers import XLACompiler
 from repro.core import AStitchCompiler
+from repro.gpu.costmodel import KernelCostModel
+from repro.gpu.counters import aggregate
 from repro.gpu.spec import T4, V100
+from repro.ir.builder import GraphBuilder
 from repro.runtime import engine as engine_mod
 from repro.runtime.engine import Engine, EngineConfig
 from repro.runtime.plan import (
@@ -20,7 +25,7 @@ from repro.runtime.plan import (
     plan_key,
     set_default_plan_cache,
 )
-from repro.workloads import micro
+from repro.workloads import layers, micro
 
 
 def _module(graph=None, compiler=None, spec=V100):
@@ -28,38 +33,55 @@ def _module(graph=None, compiler=None, spec=V100):
     return (compiler or AStitchCompiler()).compile(graph, spec)
 
 
-class TestExecutionPlan:
-    def test_totals_match_profile_bit_for_bit(self):
-        module = _module(micro.fig7_subgraph(128, 64))
-        engine = Engine(plan_cache=PlanCache())
-        plan = engine.plan(module)
-        profile = engine.price_profile(module)
-        assert plan.total_time == profile.total_time
-        assert plan.mem_time == profile.mem_time
-        assert plan.compute_time == profile.compute_time
-        assert plan.overhead_time == profile.overhead_time
-        assert plan.mem_kernel_count == profile.mem_kernel_count
-        assert plan.compute_kernel_count == profile.compute_kernel_count
-        assert plan.memcpy_count == profile.memcpy_count
+def _reference_counters(module, spec=V100):
+    """Every kernel's counters from the scalar reference, priced on a
+    fresh cost model (no memo shared with the plan under test)."""
+    reference = KernelCostModel(spec)
+    return [reference._price_uncached(kernel_cost_inputs(step))
+            for step in module.steps if isinstance(step, Kernel)]
 
-    def test_profile_replay_matches_slow_path_per_step(self):
-        module = _module()
-        engine = Engine(plan_cache=PlanCache())
-        fast = engine.run(module)
-        slow = engine.price_profile(module)
-        assert len(fast.steps) == len(slow.steps)
-        for a, b in zip(fast.steps, slow.steps):
-            assert a.name == b.name
-            assert a.category == b.category
-            assert a.duration == b.duration
-            assert a.overhead == b.overhead
-            assert a.counters == b.counters
+
+class TestExecutionPlan:
+    @pytest.mark.parametrize("compiler", [AStitchCompiler(), XLACompiler()],
+                             ids=lambda c: c.name)
+    def test_kernel_counters_match_fresh_reference(self, compiler):
+        module = _module(micro.fig7_subgraph(128, 64), compiler=compiler)
+        plan = Engine(plan_cache=PlanCache()).plan(module)
+        mem_steps = [s for s in plan.steps if s.category == "mem"]
+        reference = _reference_counters(module)
+        assert mem_steps
+        assert [s.counters for s in mem_steps] == reference
+        assert [s.duration for s in mem_steps] \
+            == [c.duration for c in reference]
+        assert [s.name for s in plan.steps] \
+            == [step.name for step in module.steps]
+
+    def test_totals_equal_sums_over_steps(self):
+        b = GraphBuilder("dot_softmax")
+        x = b.parameter("x", (64, 32))
+        w = b.parameter("w", (32, 48))
+        b.output(layers.softmax(b, b.relu(b.dot(x, w))))
+        module = _module(b.build(), compiler=XLACompiler())
+        plan = Engine(plan_cache=PlanCache()).plan(module)
+        steps = plan.steps
+        by = {c: [s for s in steps if s.category == c]
+              for c in ("mem", "compute", "memcpy")}
+        assert by["compute"] and by["mem"]
+        assert plan.mem_time == sum(s.duration for s in by["mem"])
+        assert plan.compute_time == sum(s.duration for s in by["compute"])
+        assert plan.overhead_time == sum(s.overhead for s in steps)
+        assert plan.total_time == (plan.mem_time + plan.compute_time
+                                   + plan.overhead_time)
+        assert plan.mem_kernel_count == len(by["mem"])
+        assert plan.compute_kernel_count == len(by["compute"])
+        assert plan.memcpy_count == len(by["memcpy"])
 
     def test_counters_aggregate_matches(self):
         module = _module()
-        engine = Engine(plan_cache=PlanCache())
-        assert (engine.plan(module).aggregate_mem_counters()
-                == engine.price_profile(module).aggregate_mem_counters())
+        plan = Engine(plan_cache=PlanCache()).plan(module)
+        assert plan.mem_counters() == _reference_counters(module)
+        assert (plan.aggregate_mem_counters()
+                == aggregate(_reference_counters(module)))
 
     def test_plan_immutable(self):
         plan = Engine(plan_cache=PlanCache()).plan(_module())
@@ -226,14 +248,6 @@ class TestPlanCache:
             assert Engine().plan_cache is replacement
         finally:
             set_default_plan_cache(None)
-
-    def test_engine_without_cache_rebuilds(self):
-        engine = Engine(plan_cache=None)
-        module = _module()
-        first = engine.plan(module)
-        second = engine.plan(module)
-        assert first is not second
-        assert first.total_time == second.total_time
 
 
 class TestPickleHygiene:

@@ -2,45 +2,78 @@
 
 The plan cache is a pure wall-clock optimization — every simulated
 metric a load test or capacity search reports must be bit-identical
-with ``use_plans=True`` and ``use_plans=False``.
+between a run priced from scratch (cleared cost-model memos, a fresh
+plan cache) and a warm replay of the same run.
 """
 
 from repro.core import AStitchCompiler
+from repro.gpu import clear_caches
 from repro.gpu.spec import T4, V100
-from repro.runtime.plan import PlanCache
+from repro.runtime.plan import PlanCache, set_default_plan_cache
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.cluster import Cluster
 from repro.serving.harness import max_sustainable_qps, run_loadtest
 from repro.serving.worker import ServiceTimeOracle, make_fleet
 
 
+def _cold_and_warm(run):
+    """Run ``run`` priced from scratch, then again as a pure replay.
+
+    The first call starts from cleared cost-model memos and an empty
+    plan cache; the second must build no plan, only replay them.
+    """
+    plans = PlanCache()
+    try:
+        set_default_plan_cache(plans)
+        clear_caches()
+        cold = run()
+        built = plans.stats.misses
+        warm = run()
+    finally:
+        set_default_plan_cache(None)
+    assert built > 0
+    assert plans.stats.misses == built  # the warm run only replays
+    return cold, warm
+
+
 class TestLoadtestDeterminism:
     def test_report_identical_with_and_without_plans(self):
-        kwargs = dict(qps=40.0, duration=3.0, specs=(V100, T4),
-                      max_batch=4, seed=3)
-        _, fast = run_loadtest({"CRNN": 40.0, "Transformer": 25.0},
-                               use_plans=True, **kwargs)
-        _, slow = run_loadtest({"CRNN": 40.0, "Transformer": 25.0},
-                               use_plans=False, **kwargs)
-        assert fast.as_dict() == slow.as_dict()
+        compiler = AStitchCompiler()
+
+        def run():
+            _, summary = run_loadtest(
+                {"CRNN": 40.0, "Transformer": 25.0}, qps=40.0,
+                duration=3.0, specs=(V100, T4), max_batch=4, seed=3,
+                compiler=compiler)
+            return summary.as_dict()
+
+        cold, warm = _cold_and_warm(run)
+        assert cold == warm
 
     def test_request_timelines_identical(self):
-        fast_result, _ = run_loadtest("CRNN", qps=60.0, duration=2.0,
-                                      seed=1, use_plans=True)
-        slow_result, _ = run_loadtest("CRNN", qps=60.0, duration=2.0,
-                                      seed=1, use_plans=False)
-        fast = [(r.arrival, r.completed) for r in fast_result.requests]
-        slow = [(r.arrival, r.completed) for r in slow_result.requests]
-        assert fast == slow
+        compiler = AStitchCompiler()
+
+        def run():
+            result, _ = run_loadtest("CRNN", qps=60.0, duration=2.0,
+                                     seed=1, compiler=compiler)
+            return [(r.arrival, r.started, r.completed)
+                    for r in result.requests]
+
+        cold, warm = _cold_and_warm(run)
+        assert cold == warm
 
 
 class TestCapacitySearchDeterminism:
     def test_capacity_identical_with_and_without_plans(self):
-        kwargs = dict(duration=2.0, seed=0, start_qps=8.0,
-                      relative_resolution=0.25)
-        fast = max_sustainable_qps("CRNN", use_plans=True, **kwargs)
-        slow = max_sustainable_qps("CRNN", use_plans=False, **kwargs)
-        assert fast.qps == slow.qps
+        compiler = AStitchCompiler()
+
+        def run():
+            return max_sustainable_qps(
+                "CRNN", compiler=compiler, duration=2.0, seed=0,
+                start_qps=8.0, relative_resolution=0.25).qps
+
+        cold, warm = _cold_and_warm(run)
+        assert cold == warm
 
 
 class TestOracleSharing:
@@ -60,8 +93,3 @@ class TestOracleSharing:
         cluster = Cluster(make_fleet([V100], oracle),
                           DynamicBatcher(max_batch=4))
         assert cluster.plan_cache is cache
-
-    def test_slow_path_oracle_has_no_cache(self):
-        oracle = ServiceTimeOracle(AStitchCompiler(), use_plans=False)
-        assert oracle.plan_cache is None
-        assert oracle.service_time("CRNN", 1, V100) > 0.0

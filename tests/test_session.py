@@ -11,6 +11,7 @@ from repro.gpu.spec import T4
 from repro.ir.interpreter import evaluate, random_feeds
 from repro.runtime.compile_cache import CompileCache
 from repro.runtime.compile_service import CompileService
+from repro.runtime.plan import PlanCache
 from repro.runtime.session import Session
 from repro.runtime.timeline import schedule
 from repro.runtime.trace import timeline_to_chrome_trace
@@ -115,6 +116,7 @@ class TestSessionConcurrency:
                  for i, graph in enumerate(graphs)]
         session = Session(service=CompileService(cache=CompileCache(),
                                                  max_workers=2))
+        plans = session.engine.plan_cache = PlanCache()
         iterations_per_thread = 8
 
         def hammer(thread_id: int):
@@ -130,9 +132,9 @@ class TestSessionConcurrency:
             results = list(pool.map(hammer, range(8)))
         assert all(seconds > 0 for seconds in results)
         assert session.iterations == 8 * iterations_per_thread
-        # One cached module and one cached profile per distinct graph.
+        # One cached module and one priced plan per distinct graph.
         assert len(session._modules) == len(graphs)
-        assert len(session._profiles) == len(graphs)
+        assert plans.stats.misses == len(graphs)
         for graph in graphs:
             assert session.module(graph) is session.module(graph)
             assert session.profile(graph) is session.profile(graph)
