@@ -552,13 +552,15 @@ def cmd_passes(args) -> int:
 
 
 def cmd_cache_stats(_args) -> int:
-    """Show hit/miss/eviction counters for all three cache tiers.
+    """Show hit/miss/eviction counters for every cache tier.
 
     Covers the compile cache (modules), the plan cache (priced
-    timelines) and the tuning cache (launch decisions) — plus, when a
+    timelines), the tuning cache (launch decisions) and the
+    memory-only simplify memo (simplified graphs) — plus, when a
     persistent directory is configured, the entry counts per tier on
     disk.
     """
+    from repro.ir.passes import SIMPLIFY_MEMO
     from repro.runtime.plan import default_plan_cache
     from repro.tuning import default_tuning_cache
 
@@ -566,6 +568,7 @@ def cmd_cache_stats(_args) -> int:
         "compile": default_cache(),
         "plan": default_plan_cache(),
         "tuning": default_tuning_cache(),
+        "simplify": SIMPLIFY_MEMO,
     }
     rows = []
     for name, cache in tiers.items():
@@ -770,7 +773,8 @@ def make_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser(
         "stats",
-        help="hit/miss counters for compile, plan and tuning tiers",
+        help="hit/miss counters for compile, plan, tuning and simplify "
+             "tiers",
     ).set_defaults(func=cmd_cache_stats)
     return parser
 

@@ -76,7 +76,7 @@ def canonical_attr(value: Any) -> str:
             np.ascontiguousarray(value).tobytes()).hexdigest()
         return f"nd:{value.dtype}:{value.shape}:{payload}"
     if isinstance(value, (tuple, list)):
-        return "[" + ",".join(canonical_attr(v) for v in value) + "]"
+        return "[" + ",".join(map(canonical_attr, value)) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(canonical_attr(v) for v in value)) + "}"
     if isinstance(value, dict):

@@ -139,14 +139,22 @@ class Graph:
             raise ValueError(
                 f"{kind.value} expects {expected_arity} operands, got "
                 f"{len(operands)}")
+        return self._append(kind, operands, Shape.of(shape), dtype,
+                            name or kind.value, attrs)
+
+    def _append(self, kind: OpKind, operands: list[Node], shape: Shape,
+                dtype: DType, name: str, attrs: dict[str, Any]) -> Node:
+        """``add`` without its checks, for operands, arity and shape
+        already known good (a rebuild copying a valid graph); the node
+        takes ownership of ``operands`` and ``attrs``."""
         node = Node(
             node_id=self._next_id,
-            name=self._unique_name(name or kind.value),
+            name=self._unique_name(name),
             kind=kind,
             operands=operands,
-            shape=Shape.of(shape),
+            shape=shape,
             dtype=dtype,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         self._next_id += 1
         self._nodes.append(node)

@@ -5,8 +5,10 @@ and code generation passes" (Sec 5).  This module provides that retained
 layer: the standard simplification pipeline every compiler in this
 repository can run before kernel formation.
 
-Passes are pure graph-to-graph functions built on a common rebuilding
-skeleton; each returns a new graph plus a report of what it changed.
+Passes are pure graph-to-graph functions built on a common, lazy
+rebuilding skeleton; each returns a new graph plus the number of
+rewrites it applied, or the input graph itself (never a copy) when it
+applied none.
 
 * :func:`dead_code_elimination` — drop nodes that no output needs;
 * :func:`common_subexpression_elimination` — hash-cons structurally
@@ -16,7 +18,8 @@ skeleton; each returns a new graph plus a report of what it changed.
 * :func:`algebraic_simplification` — peephole identities
   (``x+0``, ``x*1``, ``x*0``, double negation, reshape-of-reshape,
   broadcast-of-broadcast);
-* :func:`optimize` — the standard pipeline, iterated to fixpoint.
+* :func:`optimize` — the standard pipeline, iterated to fixpoint and
+  memoized by graph fingerprint.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.ir.fingerprint import canonical_attr, graph_fingerprint
 from repro.ir.graph import Graph, Node, constant_value
 from repro.ir.interpreter import compile_node
 from repro.ir.ops import OpKind
+from repro.store import TieredStore
 
 PassFn = Callable[[Graph], tuple[Graph, int]]
 
@@ -40,10 +45,13 @@ class PassReport:
     Attributes:
         changes: Pass name -> number of rewrites applied.
         iterations: Fixpoint iterations executed.
+        reused: True when :func:`optimize` served the run from its memo
+            instead of running the passes again.
     """
 
     changes: dict[str, int]
     iterations: int
+    reused: bool = False
 
     @property
     def total_changes(self) -> int:
@@ -51,28 +59,69 @@ class PassReport:
 
 
 class _Rebuilder:
-    """Copies a graph while letting a pass redirect or drop nodes."""
+    """Copies a graph while letting a pass redirect, drop or add nodes.
 
-    def __init__(self, graph: Graph, name: Optional[str] = None):
+    Lazy: until a pass first rewrites something, :meth:`copy` maps each
+    node to itself and only records it.  The first :meth:`redirect` or
+    :meth:`add` (or :meth:`finish`) builds the target graph by copying
+    that recorded prefix in order — the very calls an eager copy would
+    have made, so names and node order are unchanged — and a pass that
+    rewrites nothing builds no copy at all.
+
+    Values of :attr:`mapping` handed back to :meth:`redirect` and
+    :meth:`add` may predate the target; they are translated on the way
+    in.
+    """
+
+    def __init__(self, graph: Graph):
         self.source = graph
-        self.target = Graph(name or graph.name)
+        self.target: Optional[Graph] = None
         self.mapping: dict[Node, Node] = {}
+        self._kept: list[Node] = []
 
     def copy(self, node: Node) -> Node:
-        """Copy ``node`` (operands must already be mapped)."""
-        operands = [self.mapping[op] for op in node.operands]
-        clone = self.target.add(node.kind, operands, node.shape,
-                                node.dtype,
-                                name=node.name.split(".")[0],
-                                **dict(node.attrs))
+        """Keep ``node`` (operands must already be mapped)."""
+        if self.target is None:
+            self.mapping[node] = node
+            self._kept.append(node)
+            return node
+        return self._clone(node)
+
+    def _clone(self, node: Node) -> Node:
+        clone = self.target._append(
+            node.kind, [self.mapping[op] for op in node.operands],
+            node.shape, node.dtype, node.name.split(".")[0],
+            dict(node.attrs))
         self.mapping[node] = clone
         return clone
 
+    def _materialize(self) -> bool:
+        """Build the target from the recorded prefix; True when this
+        call built it (so earlier mapping values need translating)."""
+        if self.target is not None:
+            return False
+        self.target = Graph(self.source.name)
+        for node in self._kept:
+            self._clone(node)
+        self._kept = []
+        return True
+
     def redirect(self, node: Node, replacement: Node) -> None:
         """Make consumers of ``node`` use ``replacement`` instead."""
+        if self._materialize():
+            replacement = self.mapping[replacement]
         self.mapping[node] = replacement
 
+    def add(self, kind: OpKind, operands: tuple[Node, ...], shape,
+            dtype, name: str, **attrs) -> Node:
+        """Append a new node to the target."""
+        if self._materialize():
+            operands = tuple(self.mapping[op] for op in operands)
+        return self.target.add(kind, operands, shape, dtype, name=name,
+                               **attrs)
+
     def finish(self) -> Graph:
+        self._materialize()
         self._restore_interface_names()
         for out in self.source.outputs:
             self.target.mark_output(self.mapping[out])
@@ -123,10 +172,58 @@ def dead_code_elimination(graph: Graph) -> tuple[Graph, int]:
     return rebuilder.finish(), len(removed)
 
 
-def _structural_key(node: Node, mapping: dict[Node, Node]) -> tuple:
-    operands = tuple(id(mapping[op]) for op in node.operands)
-    attrs = tuple(sorted((k, repr(v)) for k, v in node.attrs.items()))
-    return (node.kind, node.shape.dims, node.dtype.name, operands, attrs)
+# Elements taken from each end of an array attribute into a CSE key.
+# The key only buckets candidates; a hit is confirmed on the full
+# payload, so a large constant costs a full comparison only when it may
+# really merge.
+_PROBE = 4
+
+
+def _structural_key(node: Node, representative: dict[Node, Node],
+                    ) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """(bucket key, array payloads) of ``node`` for CSE.
+
+    Operands are keyed by their source-side representative (the node
+    they were merged into, else themselves), so keys do not depend on
+    whether the rebuilder has built its target yet.
+    """
+    operands = tuple([representative.get(op, op) for op in node.operands])
+    if not node.attrs:
+        return (node.kind, node.shape.dims, node.dtype.name, operands,
+                ()), ()
+    attrs = []
+    payloads = []
+    for name, value in sorted(node.attrs.items()):
+        if isinstance(value, np.ndarray):
+            flat = value.reshape(-1)
+            attrs.append((name, value.dtype.str, value.shape,
+                          flat[:_PROBE].tobytes(),
+                          flat[-_PROBE:].tobytes()))
+            payloads.append(value)
+        else:
+            attrs.append((name, canonical_attr(value)))
+    key = (node.kind, node.shape.dims, node.dtype.name, operands,
+           tuple(attrs))
+    return key, tuple(payloads)
+
+
+def _same_payloads(left: tuple[np.ndarray, ...],
+                   right: tuple[np.ndarray, ...]) -> bool:
+    """Bitwise equality of equal-shape, equal-dtype arrays (so ``-0.0``
+    and ``0.0`` stay apart).
+
+    Along an axis both arrays broadcast (stride 0) every slab equals
+    the first, so only that one is compared: folded broadcasts of
+    millions of elements compare in a handful.
+    """
+    for a, b in zip(left, right):
+        index = tuple(slice(0, 1) if sa == sb == 0 else slice(None)
+                      for sa, sb in zip(a.strides, b.strides))
+        unsigned = f"u{a.dtype.itemsize}"
+        if not np.array_equal(a[index].view(unsigned),
+                              b[index].view(unsigned)):
+            return False
+    return True
 
 
 def common_subexpression_elimination(graph: Graph) -> tuple[Graph, int]:
@@ -138,21 +235,28 @@ def common_subexpression_elimination(graph: Graph) -> tuple[Graph, int]:
     """
     rebuilder = _Rebuilder(graph)
     outputs = set(graph.outputs)
-    seen: dict[tuple, Node] = {}
+    seen: dict[tuple, list[tuple[Node, tuple[np.ndarray, ...]]]] = {}
+    representative: dict[Node, Node] = {}
     merged = 0
     for node in graph.topological_order():
         if node.kind is OpKind.PARAMETER:
             rebuilder.copy(node)
             continue
-        key = _structural_key(node, rebuilder.mapping)
-        existing = seen.get(key)
+        key, payloads = _structural_key(node, representative)
+        bucket = seen.setdefault(key, [])
+        existing = None
+        for first, first_payloads in bucket:
+            if _same_payloads(first_payloads, payloads):
+                existing = first
+                break
         if existing is not None and node not in outputs:
-            rebuilder.redirect(node, existing)
+            rebuilder.redirect(node, rebuilder.mapping[existing])
+            representative[node] = existing
             merged += 1
         else:
-            clone = rebuilder.copy(node)
+            rebuilder.copy(node)
             if existing is None:
-                seen[key] = clone
+                bucket.append((node, payloads))
     if merged == 0:
         return graph, 0
     return rebuilder.finish(), merged
@@ -167,25 +271,28 @@ def constant_folding(graph: Graph) -> tuple[Graph, int]:
     rebuilder = _Rebuilder(graph)
     outputs = set(graph.outputs)
     folded = 0
+    # Source nodes whose value is a constant: CONSTANTs and folded nodes.
     constant_nodes: set[Node] = set()
     for node in graph.topological_order():
         if node.kind is OpKind.CONSTANT:
-            constant_nodes.add(rebuilder.copy(node))
+            rebuilder.copy(node)
+            constant_nodes.add(node)
             continue
         if (node.kind is OpKind.PARAMETER or node.is_compute_intensive()
                 or node in outputs):
             rebuilder.copy(node)
             continue
-        mapped_ops = [rebuilder.mapping[op] for op in node.operands]
-        if mapped_ops and all(op in constant_nodes for op in mapped_ops):
-            values = [constant_value(op) for op in mapped_ops]
+        if node.operands and all(op in constant_nodes
+                                 for op in node.operands):
+            values = [constant_value(rebuilder.mapping[op])
+                      for op in node.operands]
             result = np.asarray(compile_node(node)(values),
                                 dtype=node.dtype.to_numpy())
-            replacement = rebuilder.target.add(
+            replacement = rebuilder.add(
                 OpKind.CONSTANT, (), node.shape, node.dtype,
                 name="folded", value=result)
             rebuilder.redirect(node, replacement)
-            constant_nodes.add(replacement)
+            constant_nodes.add(node)
             folded += 1
         else:
             rebuilder.copy(node)
@@ -243,7 +350,7 @@ def algebraic_simplification(graph: Graph) -> tuple[Graph, int]:
                 replacement = mapped
             elif mapped.kind is OpKind.RESHAPE:
                 # reshape(reshape(x)) -> reshape(x)
-                replacement = rebuilder.target.add(
+                replacement = rebuilder.add(
                     OpKind.RESHAPE, (mapped.operands[0],), node.shape,
                     node.dtype, name="reshape")
         elif node.kind is OpKind.TRANSPOSE:
@@ -270,14 +377,45 @@ STANDARD_PASSES: tuple[tuple[str, PassFn], ...] = (
 )
 
 
+# Simplified graphs by (input graph fingerprint, max_iterations).  The
+# fixpoint does not depend on the compiler, so every compiler that
+# simplifies one graph shares one run.  Memory-only: a stored graph is
+# shared with the modules compiled from it, which never mutate it.
+SIMPLIFY_MEMO: TieredStore = TieredStore(capacity=32)
+
+
+def clear_simplify_memo() -> None:
+    """Empty :data:`SIMPLIFY_MEMO` and zero its counters."""
+    SIMPLIFY_MEMO.clear()
+
+
+def _signature(graph: Graph) -> tuple[int, int]:
+    return len(graph), len(graph.outputs)
+
+
 def optimize(graph: Graph, max_iterations: int = 8,
              ) -> tuple[Graph, PassReport]:
-    """Run the standard pipeline to a fixpoint.
+    """Run the standard pipeline to a fixpoint, once per graph.
+
+    Memoized in :data:`SIMPLIFY_MEMO` by the graph's fingerprint: a
+    structurally identical graph gets the stored result and a copy of
+    its report (with ``reused`` set).  Graphs are append-only, so like
+    the fingerprint memo a stored graph whose node or output count has
+    changed since it was stored is a miss.
 
     Returns:
         (optimized graph, report).  The graph is unchanged (same object)
         when nothing fired.
     """
+    key = (graph_fingerprint(graph), max_iterations)
+    entry = SIMPLIFY_MEMO.get(
+        key, fresh=lambda stored: _signature(stored[0]) == stored[2])
+    if entry is not None:
+        simplified, report, _ = entry
+        return (simplified if report.total_changes else graph,
+                dataclasses.replace(report, changes=dict(report.changes),
+                                    reused=True))
+
     changes: dict[str, int] = {name: 0 for name, _ in STANDARD_PASSES}
     iterations = 0
     current = graph
@@ -290,4 +428,6 @@ def optimize(graph: Graph, max_iterations: int = 8,
             fired += count
         if fired == 0:
             break
+    SIMPLIFY_MEMO.put(key, (current, PassReport(dict(changes), iterations),
+                            _signature(current)))
     return current, PassReport(changes=changes, iterations=iterations)

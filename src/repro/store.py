@@ -140,10 +140,20 @@ class TieredStore(Generic[K, V]):
 
     # -- lookup / store -----------------------------------------------------
 
-    def get(self, key: K) -> Optional[V]:
-        """The stored value for ``key``, or None (counts a miss)."""
+    def get(self, key: K, fresh: Optional[Callable[[V], bool]] = None,
+            ) -> Optional[V]:
+        """The stored value for ``key``, or None (counts a miss).
+
+        Args:
+            fresh: Optional check of an in-memory value; one it rejects
+                is dropped and the lookup goes on as if it were absent.
+        """
         with self._lock:
             value = self._entries.get(key)
+            if value is not None and fresh is not None \
+                    and not fresh(value):
+                del self._entries[key]
+                value = None
             if value is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1

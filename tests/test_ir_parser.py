@@ -41,7 +41,8 @@ class TestRoundTrip:
         assert [n.name for n in reparsed.outputs] == \
             [n.name for n in graph.outputs]
 
-    @given(random_graphs())
+    # Array constants are not round-trippable text, by design.
+    @given(random_graphs(twin_constants=False))
     @settings(max_examples=25, deadline=None)
     def test_random_graph_roundtrip(self, graph):
         text = format_graph(graph)

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.graph import constant_value
+from repro.ir.dtypes import F64
+from repro.ir.graph import Graph, constant_value
 from repro.ir.interpreter import evaluate, random_feeds
 from repro.ir.ops import OpKind
 from repro.ir.passes import (
     algebraic_simplification,
     common_subexpression_elimination,
     constant_folding,
+    clear_simplify_memo,
     dead_code_elimination,
     optimize,
 )
+from repro.workloads import build
 
 from tests.test_property_compilers import random_graphs
 
@@ -81,6 +84,75 @@ class TestCse:
         b.output(b.add(left, right))
         optimized, merged = common_subexpression_elimination(b.build())
         assert merged == 2
+
+
+def _twin_constant_graph(left, right, dtype=None):
+    """x*left - x*right as the output, with the two constants kept apart
+    from constant folding by the parameter."""
+    b = GraphBuilder()
+    kwargs = {} if dtype is None else {"dtype": dtype}
+    x = b.parameter("x", left.shape, **kwargs)
+    scaled = [b.multiply(x, b.constant(payload, payload.shape, **kwargs))
+              for payload in (left, right)]
+    b.output(b.subtract(*scaled))
+    return b.build()
+
+
+class TestExactCse:
+    """CSE merges constants only when their payloads are bit-identical."""
+
+    def test_large_constants_differing_mid_payload_stay_apart(self):
+        left = np.zeros(2000, dtype=np.float32)
+        right = left.copy()
+        right[1000] = 1.0
+        graph = _twin_constant_graph(left, right)
+        _, merged = common_subexpression_elimination(graph)
+        assert merged == 0
+        clear_simplify_memo()
+        optimized, _ = optimize(graph)
+        feeds = {"x": np.ones(2000, dtype=np.float32)}
+        out = graph.outputs[0].name
+        want = evaluate(graph, feeds)[out]
+        assert want[1000] == -1.0
+        np.testing.assert_array_equal(evaluate(optimized, feeds)[out], want)
+
+    def test_float64_constants_beyond_eight_digits_stay_apart(self):
+        graph = _twin_constant_graph(np.array([1.000000001]),
+                                     np.array([1.000000002]), dtype=F64)
+        _, merged = common_subexpression_elimination(graph)
+        assert merged == 0
+
+    def test_signed_zeros_stay_apart(self):
+        graph = _twin_constant_graph(np.array([0.0], dtype=np.float32),
+                                     np.array([-0.0], dtype=np.float32))
+        _, merged = common_subexpression_elimination(graph)
+        assert merged == 0
+
+    def test_equal_large_constants_merge(self):
+        payload = np.arange(2000, dtype=np.float32)
+        graph = _twin_constant_graph(payload, payload.copy())
+        _, merged = common_subexpression_elimination(graph)
+        assert merged == 2  # the constant, then the multiply using it
+
+    def test_broadcast_payloads_compare_every_row(self):
+        # Stride-0 views (what folded broadcasts are) that differ only
+        # mid-row, and a third equal to the first.
+        row = np.zeros(16, dtype=np.float32)
+        other = row.copy()
+        other[8] = 1.0
+        payloads = [np.broadcast_to(r, (2000, 16))
+                    for r in (row, other, row.copy())]
+        b = GraphBuilder()
+        x = b.parameter("x", (2000, 16))
+        scaled = [b.multiply(x, b.constant(p, p.shape)) for p in payloads]
+        b.output(b.add(b.subtract(scaled[0], scaled[1]), scaled[2]))
+        _, merged = common_subexpression_elimination(b.build())
+        assert merged == 2  # the third constant and its multiply
+
+    def test_bert_keeps_its_merges(self):
+        clear_simplify_memo()
+        _, report = optimize(build("BERT"))
+        assert report.changes["common_subexpression_elimination"] == 70
 
 
 class TestConstantFolding:

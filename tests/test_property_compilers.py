@@ -29,8 +29,13 @@ BINARY_OPS = ["add", "subtract", "multiply", "maximum", "minimum"]
 
 
 @st.composite
-def random_graphs(draw):
-    """A random well-formed graph over 2-D tensors."""
+def random_graphs(draw, twin_constants: bool = True):
+    """A random well-formed graph over 2-D tensors.
+
+    With ``twin_constants``, some graphs scale one value by two large
+    constants that differ only in the middle of their payloads:
+    simplification must keep both.
+    """
     rows = draw(st.integers(2, 12))
     cols = draw(st.integers(2, 24))
     if rows == cols:
@@ -49,7 +54,7 @@ def random_graphs(draw):
 
     num_ops = draw(st.integers(3, 18))
     for i in range(num_ops):
-        choice = draw(st.integers(0, 9))
+        choice = draw(st.integers(0, 10 if twin_constants else 9))
         if choice <= 3:  # unary element-wise
             op = draw(st.sampled_from(UNARY_OPS))
             src = as_2d(draw(st.sampled_from(pool)))
@@ -63,10 +68,23 @@ def random_graphs(draw):
             src = as_2d(draw(st.sampled_from(pool)))
             axis = draw(st.sampled_from([0, 1]))
             pool.append(b.reduce_sum(src, axes=(axis,)))
-        else:  # compute-intensive divider
+        elif choice == 9:  # compute-intensive divider
             src = as_2d(draw(st.sampled_from(pool)))
             w = b.parameter(f"w{i}", (cols, cols))
             pool.append(b.dot(src, w))
+        else:  # twin constants of >1000 elements, equal but mid-payload
+            # Over 1000 elements and >= 8 deep: numpy's repr elides
+            # the middle of the last axis, where the twins differ.
+            depth = max(8, 1000 // (rows * cols) + 1)
+            src = as_2d(draw(st.sampled_from(pool)))
+            spread = b.broadcast(src, (rows, cols, depth), dims=(0, 1))
+            base = np.full((rows, cols, depth), 0.5, dtype=np.float32)
+            twin = base.copy()
+            twin[0, 0, depth // 2] = 1.5
+            for payload in (base, twin):
+                scaled = b.multiply(spread,
+                                    b.constant(payload, payload.shape))
+                pool.append(b.reduce_sum(scaled, axes=(2,)))
 
     # Make the last few values outputs (multi-output graphs included).
     num_outputs = draw(st.integers(1, min(3, len(pool) - 2)))

@@ -37,7 +37,7 @@ def _cold_and_warm(run):
 
 
 class TestLoadtestDeterminism:
-    def test_report_identical_with_and_without_plans(self):
+    def test_report_identical_cold_and_warm(self):
         compiler = AStitchCompiler()
 
         def run():

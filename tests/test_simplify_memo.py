@@ -1,0 +1,151 @@
+"""The simplification fixpoint runs once per graph.
+
+``repro.ir.passes.optimize`` is memoized by graph fingerprint, shared by
+every compiler's ``compile_optimized``, and its passes build no copy of
+a graph they do not rewrite.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from repro.cli import COMPILERS, main
+from repro.compilers import XLACompiler
+from repro.core import AStitchCompiler
+from repro.gpu.spec import V100
+from repro.ir.builder import GraphBuilder
+from repro.ir.graph import Graph
+from repro.ir.ops import OpKind
+from repro.ir.passes import (
+    SIMPLIFY_MEMO,
+    STANDARD_PASSES,
+    clear_simplify_memo,
+    optimize,
+)
+from repro.runtime.compile_cache import CompileCache
+from repro.runtime.compile_service import CompileService
+from repro.runtime.plan import module_pricing_signature
+from repro.workloads import build
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    clear_simplify_memo()
+    yield
+    clear_simplify_memo()
+
+
+def _capture(module) -> dict:
+    return {
+        "pricing_signature": module_pricing_signature(module),
+        "steps": [f"{type(s).__name__}:{s.name}" for s in module.steps],
+    }
+
+
+class TestOncePerGraph:
+    def test_all_compilers_share_one_fixpoint(self):
+        graph = build("CRNN")
+        shared = {name: _capture(cls().compile_optimized(graph, V100))
+                  for name, cls in COMPILERS.items()}
+        assert len(COMPILERS) == 8
+        assert (SIMPLIFY_MEMO.stats.misses, SIMPLIFY_MEMO.stats.hits) \
+            == (1, 7)
+        for name, cls in COMPILERS.items():
+            clear_simplify_memo()
+            fresh = _capture(cls().compile_optimized(graph, V100))
+            assert SIMPLIFY_MEMO.stats.hits == 0
+            assert shared[name] == fresh, name
+
+    def test_equal_graph_objects_hit(self):
+        first, second = build("CRNN"), build("CRNN")
+        simplified, report = optimize(first)
+        again, reused = optimize(second)
+        assert again is simplified
+        assert not report.reused and reused.reused
+        assert (reused.changes, reused.iterations) \
+            == (report.changes, report.iterations)
+        assert reused.changes is not report.changes
+        assert (SIMPLIFY_MEMO.stats.misses, SIMPLIFY_MEMO.stats.hits) \
+            == (1, 1)
+
+    def test_grown_graph_is_not_served(self):
+        graph = build("CRNN")
+        simplified, report = optimize(graph)
+        size = len(simplified)
+        param = simplified.parameters[0]
+        simplified.add(OpKind.TANH, [param], param.shape)
+        again, second = optimize(graph)
+        assert again is not simplified
+        assert len(again) == size
+        assert not second.reused
+        assert second.changes == report.changes
+        assert SIMPLIFY_MEMO.stats.hits == 0
+
+    def test_parallel_service_matches_serial(self):
+        graph = build("CRNN")
+        compilers = (XLACompiler(), AStitchCompiler())
+        serial = []
+        for compiler in compilers:
+            clear_simplify_memo()
+            serial.append(_capture(compiler.compile_optimized(graph, V100)))
+        clear_simplify_memo()
+        service = CompileService(cache=CompileCache(), max_workers=2)
+        try:
+            futures = [service.submit(graph, compiler, V100, optimize=True)
+                       for compiler in compilers]
+            parallel = [_capture(future.result()) for future in futures]
+        finally:
+            service.shutdown()
+        assert parallel == serial
+
+    def test_pass_report_says_reused(self):
+        graph = build("CRNN")
+        runs = [XLACompiler().run_pipeline(graph, V100, optimize=True)
+                for _ in range(2)]
+        first, second = (run.reports[0] for run in runs)
+        assert first.pass_name == "simplify-fixpoint"
+        assert (first.detail.pop("reused"), second.detail.pop("reused")) \
+            == (False, True)
+        assert first.detail == second.detail
+        assert (first.nodes_before, first.nodes_after) \
+            == (second.nodes_before, second.nodes_after)
+
+    def test_cache_stats_lists_simplify_tier(self, capsys):
+        graph = build("CRNN")
+        optimize(graph)
+        optimize(graph)
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^simplify +1 +1 +0 +1 ", out, re.MULTILINE), out
+
+
+class TestNoFireNoCopy:
+    @staticmethod
+    def _settled_graph() -> Graph:
+        b = GraphBuilder()
+        x = b.parameter("x", (4, 8))
+        y = b.parameter("y", (4, 8))
+        b.output(b.reduce_sum(b.tanh(b.add(x, y)), axes=(1,)))
+        b.output(b.multiply(x, b.constant(np.full((4, 8), 2.0,
+                                                  dtype=np.float32),
+                                          (4, 8))))
+        return b.build()
+
+    def test_pass_that_fires_nothing_builds_nothing(self, monkeypatch):
+        graph = self._settled_graph()
+        adds = []
+        real_add = Graph.add
+
+        def counting_add(self, *args, **kwargs):
+            adds.append(args[0])
+            return real_add(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "add", counting_add)
+        for name, pass_fn in STANDARD_PASSES:
+            result, count = pass_fn(graph)
+            assert (result, count) == (graph, 0), name
+        result, report = optimize(graph)
+        assert result is graph
+        assert report.total_changes == 0
+        assert adds == []

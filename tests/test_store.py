@@ -110,6 +110,15 @@ class TestMemoryTier:
         assert memory_only.get(key(2)) is None
         assert tiered.stats.hits == 1 and memory_only.stats.hits == 1
 
+    def test_stale_memory_entry_counts_a_miss(self, case):
+        cls, key, value, _ = case
+        cache = cls()
+        cache.put(key(0), value(0))
+        assert cache.get(key(0), fresh=lambda _: True) is not None
+        assert cache.get(key(0), fresh=lambda _: False) is None
+        assert key(0) not in cache
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
     def test_clear_drops_memory_and_counters(self, case, tmp_path):
         cls, key, value, _ = case
         cache = cls(cache_dir=tmp_path)
