@@ -29,7 +29,6 @@ from repro.pipeline.lowering import (
     FusionKernelFormationPass,
     LibraryDispatchPass,
     MemcpyPlanningPass,
-    SIMPLIFICATION_PASSES,
     StepSchedulingPass,
     naive_mapping_factory,
     optimized_pipeline,
@@ -51,7 +50,6 @@ __all__ = [
     "PassReport",
     "Pipeline",
     "PipelineRun",
-    "SIMPLIFICATION_PASSES",
     "StepSchedulingPass",
     "check_graph",
     "get_pass",

@@ -103,8 +103,8 @@ class Pass(abc.ABC):
 
 
 class GraphPass(Pass):
-    """Adapter turning a pure ``Graph -> (Graph, changes)`` function —
-    the :mod:`repro.ir.passes` shape — into a pipeline pass."""
+    """Adapter turning a pure ``Graph -> (Graph, changes)`` function
+    into a pipeline pass."""
 
     kind = "graph"
 

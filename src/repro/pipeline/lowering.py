@@ -2,10 +2,9 @@
 
 The stages every compiler in this repository composes from:
 
-* the retained XLA-style simplification layer — the four
-  :mod:`repro.ir.passes` rewrites as registered graph passes, plus
-  :class:`FixpointSimplificationPass` running them to a fixpoint (what
-  ``compile_optimized`` prepends);
+* the retained XLA-style simplification layer —
+  :class:`FixpointSimplificationPass` running :mod:`repro.ir.passes`
+  (what ``compile_optimized`` prepends);
 * :class:`FusionKernelFormationPass` — the root-rule/mapping-rule
   parameterization of baseline kernel formation (XLA, TVM, TensorRT and
   Ansor differ only in where fusion gives up and how threads are
@@ -40,40 +39,25 @@ from repro.ir import patterns
 from repro.ir.graph import Graph, Node
 from repro.pipeline.base import (
     CompileState,
-    GraphPass,
     Pass,
     Pipeline,
     register_pass,
 )
 
-# The ir.passes rewrites as registered, pipeline-composable graph passes.
-SIMPLIFICATION_PASSES: tuple[GraphPass, ...] = tuple(
-    register_pass(GraphPass(name.replace("_", "-"), fn))
-    for name, fn in ir_passes.STANDARD_PASSES
-)
-
-
 class FixpointSimplificationPass(Pass):
-    """The retained simplification pipeline, iterated to a fixpoint.
+    """The retained simplification, run to its fixpoint.
 
-    Exactly :func:`repro.ir.passes.optimize`: the four standard rewrites
-    in order, repeated until an iteration changes nothing (bounded by
-    ``max_iterations``).  The fixpoint is memoized per graph, so every
-    compiler after the first reuses it (``detail["reused"]``).
+    Exactly :func:`repro.ir.passes.optimize`: one sweep through the
+    smart constructor, then dead-code elimination.  It is memoized per
+    graph, so every compiler after the first reuses it
+    (``detail["reused"]``).
     """
 
     name = "simplify-fixpoint"
     kind = "graph"
 
-    def __init__(self, max_iterations: int = 8):
-        self.max_iterations = max_iterations
-
-    def params(self) -> str:
-        return f"max_iterations={self.max_iterations}"
-
     def run(self, state: CompileState) -> dict[str, Any]:
-        state.graph, report = ir_passes.optimize(
-            state.graph, max_iterations=self.max_iterations)
+        state.graph, report = ir_passes.optimize(state.graph)
         detail: dict[str, Any] = dict(report.changes)
         detail["iterations"] = report.iterations
         detail["changes"] = report.total_changes
@@ -228,14 +212,12 @@ def standard_tail(finalize: FinalizeModulePass) -> tuple[Pass, ...]:
             MemcpyPlanningPass(), finalize)
 
 
-def optimized_pipeline(pipeline: Pipeline,
-                       max_iterations: int = 8) -> Pipeline:
+def optimized_pipeline(pipeline: Pipeline) -> Pipeline:
     """``pipeline`` with the retained simplification fixpoint prepended
     (the declarative form of ``Compiler.compile_optimized``)."""
     return Pipeline(
         name=f"{pipeline.name}+simplify",
-        passes=(FixpointSimplificationPass(max_iterations),
-                *pipeline.passes))
+        passes=(FixpointSimplificationPass(), *pipeline.passes))
 
 
 register_pass(FixpointSimplificationPass())

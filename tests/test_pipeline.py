@@ -90,10 +90,7 @@ class TestRegistry:
     def test_shared_passes_are_registered(self):
         names = registered_passes()
         for expected in ("simplify-fixpoint", "library-dispatch",
-                         "schedule-steps", "plan-memcpys",
-                         "dead-code-elimination", "constant-folding",
-                         "common-subexpression-elimination",
-                         "algebraic-simplification"):
+                         "schedule-steps", "plan-memcpys"):
             assert expected in names
 
     def test_duplicate_registration_raises(self):

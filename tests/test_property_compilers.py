@@ -29,12 +29,16 @@ BINARY_OPS = ["add", "subtract", "multiply", "maximum", "minimum"]
 
 
 @st.composite
-def random_graphs(draw, twin_constants: bool = True):
+def random_graphs(draw, twin_constants: bool = True,
+                  identities: bool = False):
     """A random well-formed graph over 2-D tensors.
 
     With ``twin_constants``, some graphs scale one value by two large
     constants that differ only in the middle of their payloads:
-    simplification must keep both.
+    simplification must keep both.  With ``identities``, some values go
+    through what the simplifier's rules rewrite: scalar 0/1 constants,
+    constant subexpressions under a broadcast, double negation, reshape
+    round-trips and identity transposes.
     """
     rows = draw(st.integers(2, 12))
     cols = draw(st.integers(2, 24))
@@ -54,7 +58,7 @@ def random_graphs(draw, twin_constants: bool = True):
 
     num_ops = draw(st.integers(3, 18))
     for i in range(num_ops):
-        choice = draw(st.integers(0, 10 if twin_constants else 9))
+        choice = draw(st.integers(0, 9 + identities + twin_constants))
         if choice <= 3:  # unary element-wise
             op = draw(st.sampled_from(UNARY_OPS))
             src = as_2d(draw(st.sampled_from(pool)))
@@ -72,6 +76,29 @@ def random_graphs(draw, twin_constants: bool = True):
             src = as_2d(draw(st.sampled_from(pool)))
             w = b.parameter(f"w{i}", (cols, cols))
             pool.append(b.dot(src, w))
+        elif identities and choice == 10:  # what the simplifier rewrites
+            src = as_2d(draw(st.sampled_from(pool)))
+            form = draw(st.integers(0, 5))
+            if form == 0:  # x+0, x+1, x*1, x*0
+                op = draw(st.sampled_from(["add_scalar", "mul_scalar"]))
+                value = draw(st.sampled_from([0.0, 1.0]))
+                pool.append(getattr(b, op)(src, value))
+            elif form == 1:  # a constant subexpression under a broadcast
+                left, right = (b.constant(draw(st.sampled_from([0.0, 1.0])))
+                               for _ in range(2))
+                spread = b.broadcast(b.add(left, right), (rows, cols),
+                                     dims=())
+                op = draw(st.sampled_from(["add", "subtract", "multiply"]))
+                pool.append(getattr(b, op)(src, spread))
+            elif form == 2:  # x/1
+                pool.append(b.divide(src, b.scalar_like(1.0, src)))
+            elif form == 3:
+                pool.append(b.negate(b.negate(src)))
+            elif form == 4:  # a reshape round-trip
+                flat = b.reshape(src, (rows * cols,))
+                pool.append(b.reshape(flat, (rows, cols)))
+            else:
+                pool.append(b.transpose(src, (0, 1)))
         else:  # twin constants of >1000 elements, equal but mid-payload
             # Over 1000 elements and >= 8 deep: numpy's repr elides
             # the middle of the last axis, where the twins differ.
