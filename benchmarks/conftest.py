@@ -31,6 +31,8 @@ from repro.gpu.spec import V100
 from repro.runtime import convert_to_amp, default_service
 from repro.workloads import WORKLOADS, build
 
+from tests.conftest import fresh_caches  # noqa: F401  (shared fixture)
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 

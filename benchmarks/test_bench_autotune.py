@@ -25,7 +25,6 @@ import time
 from repro.core import AStitchCompiler, AStitchConfig
 from repro.gpu.spec import V100
 from repro.runtime.engine import Engine
-from repro.tuning import TuningCache, set_default_tuning_cache
 from repro.workloads import WORKLOADS, build, micro
 
 from benchmarks.conftest import record_bench, save_report
@@ -62,72 +61,68 @@ def _geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def test_bench_autotune():
+def test_bench_autotune(fresh_caches):
     engine = Engine(V100)
     tuned_compiler = AStitchCompiler()
     heuristic_compiler = AStitchCompiler(AStitchConfig.heuristic_mappings())
 
-    set_default_tuning_cache(TuningCache())
-    try:
-        # -- never worse on the registry --------------------------------
-        registry_rows = []
-        for name in sorted(WORKLOADS):
-            graph = build(name)
-            tuned = engine.run(tuned_compiler.compile(graph))
-            heuristic = engine.run(heuristic_compiler.compile(graph))
-            registry_rows.append({
-                "workload": name,
-                "heuristic_us": heuristic.total_time * 1e6,
-                "tuned_us": tuned.total_time * 1e6,
-                "speedup": heuristic.total_time / tuned.total_time,
-            })
-            assert tuned.total_time <= heuristic.total_time * (1 + 1e-9), \
-                f"tuned {name} regressed vs heuristic"
+    # -- never worse on the registry --------------------------------
+    registry_rows = []
+    for name in sorted(WORKLOADS):
+        graph = build(name)
+        tuned = engine.run(tuned_compiler.compile(graph))
+        heuristic = engine.run(heuristic_compiler.compile(graph))
+        registry_rows.append({
+            "workload": name,
+            "heuristic_us": heuristic.total_time * 1e6,
+            "tuned_us": tuned.total_time * 1e6,
+            "speedup": heuristic.total_time / tuned.total_time,
+        })
+        assert tuned.total_time <= heuristic.total_time * (1 + 1e-9), \
+            f"tuned {name} regressed vs heuristic"
 
-        # -- irregular row-reduce shapes --------------------------------
-        irregular_rows = []
-        for rows, cols in IRREGULAR_SHAPES:
-            graph = micro.row_reduce(rows, cols)
-            tuned = _kernel_time(engine.run(tuned_compiler.compile(graph)))
-            heuristic = _kernel_time(
-                engine.run(heuristic_compiler.compile(graph)))
-            irregular_rows.append({
-                "shape": f"{rows}x{cols}",
-                "heuristic_us": heuristic * 1e6,
-                "tuned_us": tuned * 1e6,
-                "speedup": heuristic / tuned,
-            })
-            assert tuned <= heuristic * (1 + 1e-9), \
-                f"tuned row_reduce({rows},{cols}) regressed"
-        irregular_geomean = _geomean([r["speedup"]
-                                      for r in irregular_rows])
-        assert irregular_geomean >= IRREGULAR_GEOMEAN_FLOOR, \
-            f"irregular geomean {irregular_geomean:.3f} below " \
-            f"{IRREGULAR_GEOMEAN_FLOOR}"
+    # -- irregular row-reduce shapes --------------------------------
+    irregular_rows = []
+    for rows, cols in IRREGULAR_SHAPES:
+        graph = micro.row_reduce(rows, cols)
+        tuned = _kernel_time(engine.run(tuned_compiler.compile(graph)))
+        heuristic = _kernel_time(
+            engine.run(heuristic_compiler.compile(graph)))
+        irregular_rows.append({
+            "shape": f"{rows}x{cols}",
+            "heuristic_us": heuristic * 1e6,
+            "tuned_us": tuned * 1e6,
+            "speedup": heuristic / tuned,
+        })
+        assert tuned <= heuristic * (1 + 1e-9), \
+            f"tuned row_reduce({rows},{cols}) regressed"
+    irregular_geomean = _geomean([r["speedup"]
+                                  for r in irregular_rows])
+    assert irregular_geomean >= IRREGULAR_GEOMEAN_FLOOR, \
+        f"irregular geomean {irregular_geomean:.3f} below " \
+        f"{IRREGULAR_GEOMEAN_FLOOR}"
 
-        # -- warm-cache compile overhead --------------------------------
-        graphs = {name: build(name) for name in sorted(WORKLOADS)}
-        compile_rows = []
-        heuristic_total = tuned_total = 0.0
-        for name, graph in graphs.items():
-            tuned_compiler.compile(graph)  # warm the tuning cache
-            heuristic_s = _best_of(
-                lambda g=graph: heuristic_compiler.compile(g))
-            warm_s = _best_of(lambda g=graph: tuned_compiler.compile(g))
-            heuristic_total += heuristic_s
-            tuned_total += warm_s
-            compile_rows.append({
-                "workload": name,
-                "heuristic_compile_s": heuristic_s,
-                "warm_tuned_compile_s": warm_s,
-                "ratio": warm_s / heuristic_s,
-            })
-        warm_ratio = tuned_total / heuristic_total
-        assert warm_ratio <= WARM_COMPILE_CEILING, \
-            f"warm tuned compile {warm_ratio:.2f}x heuristic, " \
-            f"ceiling {WARM_COMPILE_CEILING}x"
-    finally:
-        set_default_tuning_cache(None)
+    # -- warm-cache compile overhead --------------------------------
+    graphs = {name: build(name) for name in sorted(WORKLOADS)}
+    compile_rows = []
+    heuristic_total = tuned_total = 0.0
+    for name, graph in graphs.items():
+        tuned_compiler.compile(graph)  # warm the tuning cache
+        heuristic_s = _best_of(
+            lambda g=graph: heuristic_compiler.compile(g))
+        warm_s = _best_of(lambda g=graph: tuned_compiler.compile(g))
+        heuristic_total += heuristic_s
+        tuned_total += warm_s
+        compile_rows.append({
+            "workload": name,
+            "heuristic_compile_s": heuristic_s,
+            "warm_tuned_compile_s": warm_s,
+            "ratio": warm_s / heuristic_s,
+        })
+    warm_ratio = tuned_total / heuristic_total
+    assert warm_ratio <= WARM_COMPILE_CEILING, \
+        f"warm tuned compile {warm_ratio:.2f}x heuristic, " \
+        f"ceiling {WARM_COMPILE_CEILING}x"
 
     payload = {
         "bench": "autotune",

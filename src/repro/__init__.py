@@ -39,6 +39,7 @@ from repro.core import AStitchCompiler, AStitchConfig, StitchScheme
 from repro.runtime import Engine, Session, convert_to_amp
 from repro.analysis import compare_compilers, geomean, render_table
 from repro.serving import max_sustainable_qps, run_loadtest
+from repro.store import reset_caches
 
 __version__ = "1.0.0"
 
@@ -74,5 +75,6 @@ __all__ = [
     "render_table",
     "max_sustainable_qps",
     "run_loadtest",
+    "reset_caches",
     "__version__",
 ]

@@ -552,29 +552,27 @@ def cmd_passes(args) -> int:
 
 
 def cmd_cache_stats(_args) -> int:
-    """Show hit/miss/eviction counters for every cache tier.
+    """Show hit/miss/eviction counters for every registered
+    :class:`~repro.store.TieredStore`, plus, when a persistent directory
+    is configured, the entry counts per tier on disk."""
+    import importlib
+    import pkgutil
 
-    Covers the compile cache (modules), the plan cache (priced
-    timelines), the tuning cache (launch decisions) and the
-    memory-only simplify memo (simplified graphs) — plus, when a
-    persistent directory is configured, the entry counts per tier on
-    disk.
-    """
-    from repro.ir.passes import SIMPLIFY_MEMO
-    from repro.runtime.plan import default_plan_cache
-    from repro.tuning import default_tuning_cache
+    import repro
+    from repro.store import ProcessDefault, TieredStore, registered
 
-    tiers = {
-        "compile": default_cache(),
-        "plan": default_plan_cache(),
-        "tuning": default_tuning_cache(),
-        "simplify": SIMPLIFY_MEMO,
-    }
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":  # memos register on import
+            importlib.import_module(info.name)
     rows = []
-    for name, cache in tiers.items():
-        stats = cache.stats
+    for name, memo in sorted(registered().items()):
+        if isinstance(memo, ProcessDefault):
+            memo = memo.get()
+        if not isinstance(memo, TieredStore):
+            continue
+        stats = memo.stats
         rows.append([
-            name, len(cache), stats.hits, stats.disk_hits, stats.misses,
+            name, len(memo), stats.hits, stats.disk_hits, stats.misses,
             stats.evictions, stats.disk_stores,
             f"{stats.hit_rate*100:.1f}%",
         ])
@@ -583,7 +581,7 @@ def cmd_cache_stats(_args) -> int:
          "disk stores", "hit rate"], rows,
         title="cache statistics (this process)"))
 
-    cache_dir = tiers["compile"].cache_dir
+    cache_dir = default_cache().cache_dir
     if cache_dir is not None and cache_dir.is_dir():
         plans = len(list(cache_dir.glob("plan_*.pkl")))
         tuned = len(list(cache_dir.glob("tune_*.pkl")))
@@ -773,8 +771,7 @@ def make_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser(
         "stats",
-        help="hit/miss counters for compile, plan, tuning and simplify "
-             "tiers",
+        help="hit/miss counters for every registered store",
     ).set_defaults(func=cmd_cache_stats)
     return parser
 

@@ -36,6 +36,7 @@ stage: adaptive mappings applied on XLA's fusion scopes, no stitching.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Any, Optional
 
 from repro.codegen.builder import make_kernel
@@ -56,6 +57,7 @@ from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.ir import patterns
 from repro.pipeline.base import CompileState, Pass
+from repro.store import register
 
 # The scratch slot the AStitch passes share.
 SCRATCH_KEY = "astitch"
@@ -329,7 +331,13 @@ def lower_scope(graph: Graph, scope: StitchScope, spec: GPUSpec,
 # -- tuning ----------------------------------------------------------------------
 
 
-def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
+# Group signatures per graph, so a warm recompile skips the traffic scan.
+# No stored node references its graph: a dropped graph drops its entries.
+_SIGNATURES: "weakref.WeakKeyDictionary[Graph, dict]" = register(
+    "tuning-signatures", weakref.WeakKeyDictionary())
+
+
+def tuned_launch_for(graph: Graph, analysis: ScopeAnalysis, spec: GPUSpec,
                      needs_barrier: bool, cfg: AStitchConfig):
     """Autotune the scope's groups and unify the winning mappings.
 
@@ -340,9 +348,16 @@ def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
     from repro.runtime.compile_service import default_service
     from repro.tuning import GroupTuner, signature_for_group
     tuner = GroupTuner(spec, service=default_service())
-    sigs = [signature_for_group(group, needs_barrier,
-                                cfg.max_block_size)
-            for group in analysis.groups]
+    memo = _SIGNATURES.setdefault(graph, {})
+    sigs = []
+    for group in analysis.groups:
+        key = (group.dominant, tuple(group.nodes), group.sub_dominants,
+               needs_barrier, cfg.max_block_size)
+        sig = memo.get(key)
+        if sig is None:
+            sig = memo[key] = signature_for_group(group, needs_barrier,
+                                                  cfg.max_block_size)
+        sigs.append(sig)
     decisions = tuner.tune_signatures(sigs, config_tag=cfg.tuning_tag())
     if all(decision.mapping == decision.heuristic_mapping
            for decision in decisions):
@@ -486,7 +501,8 @@ class LaunchTuningPass(Pass):
         tuned_scopes = compared = 0
         for work in scope_works(state):
             tuned, verdict_key, cache = tuned_launch_for(
-                work.analysis, state.spec, work.needs_barrier, cfg)
+                state.graph, work.analysis, state.spec, work.needs_barrier,
+                cfg)
             if tuned is None or same_launch(tuned, work.launch):
                 # The search confirmed the heuristic — nothing to lower
                 # twice (the warm-cache compile-time bound).

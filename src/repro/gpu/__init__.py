@@ -7,8 +7,8 @@ and the nvprof counters the evaluation reports.
 """
 
 from repro.gpu.spec import GPUSpec, V100, T4, A100
-from repro.gpu.occupancy import (OccupancyResult, clear_occupancy_cache,
-                                 occupancy, occupancy_cache_info)
+from repro.gpu.occupancy import (OccupancyResult, occupancy,
+                                 occupancy_cache_info)
 from repro.gpu.counters import PerfCounters
 from repro.gpu.costmodel import (KernelCostInputs, KernelCostModel,
                                  cost_model_for)
@@ -17,22 +17,15 @@ from repro.gpu.memory import MemorySpace, Buffer, GlobalMemoryPool
 
 
 def clear_caches() -> None:
-    """Reset every process-wide GPU-model memo in one call.
-
-    Covers the occupancy calculator's LRU and the shared per-spec
-    :class:`KernelCostModel` price memos — the single entry point tests
-    and long-lived services use to drop modeled state without caring
-    which module owns which cache.
-    """
-    from repro.gpu import costmodel
-    clear_occupancy_cache()
-    for model in costmodel._SHARED_MODELS.values():
-        model.clear_memo()
+    """Reset the GPU model's memos only (occupancy and the shared cost
+    models' prices); :func:`repro.reset_caches` resets every memo."""
+    from repro.store import registered
+    for name in ("occupancy", "cost-models"):
+        registered()[name].clear()
 
 
 __all__ = [
     "clear_caches",
-    "clear_occupancy_cache",
     "occupancy_cache_info",
     "GPUSpec",
     "V100",

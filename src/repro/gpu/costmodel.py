@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from collections.abc import Sequence
 from typing import Optional
 
@@ -30,6 +31,7 @@ from repro.gpu.barrier import global_barrier_latency
 from repro.gpu.counters import PerfCounters
 from repro.gpu.occupancy import achieved_occupancy, occupancy, sm_efficiency
 from repro.gpu.spec import GPUSpec
+from repro.store import register
 
 # Occupancy at which DRAM bandwidth saturates; below it, bandwidth degrades
 # roughly linearly (latency hiding needs resident warps — this is what makes
@@ -296,16 +298,37 @@ class KernelCostModel:
         return max(comp_t, mem_t) + _KERNEL_RAMP
 
 
-# One shared model per spec: Ansor's tuning probes, the CLI's top-kernel
-# report and every Engine instance all price through the same memo, so a
-# kernel configuration is priced once per process, not once per caller.
-_SHARED_MODELS: dict[GPUSpec, KernelCostModel] = {}
+class SharedModels:
+    """One :class:`KernelCostModel` per spec, shared by Ansor's tuning
+    probes, the CLI and every Engine, so a kernel configuration is
+    priced once per process.  Creation is locked (compile workers race
+    on first use); :meth:`clear` empties each price memo in place."""
+
+    def __init__(self):
+        self._models: dict[GPUSpec, KernelCostModel] = {}
+        self._lock = threading.Lock()
+
+    def get(self, spec: GPUSpec) -> KernelCostModel:
+        """The shared model for ``spec`` (created on first use)."""
+        with self._lock:
+            model = self._models.get(spec)
+            if model is None:
+                model = self._models[spec] = KernelCostModel(spec)
+            return model
+
+    def clear(self) -> None:
+        """Empty every shared model's price memo."""
+        with self._lock:
+            for model in self._models.values():
+                model.clear_memo()
+
+    def __len__(self) -> int:
+        return sum(len(model._memo) for model in self._models.values())
+
+
+_SHARED_MODELS = register("cost-models", SharedModels())
 
 
 def cost_model_for(spec: GPUSpec) -> KernelCostModel:
     """The process-wide shared :class:`KernelCostModel` for ``spec``."""
-    model = _SHARED_MODELS.get(spec)
-    if model is None:
-        model = KernelCostModel(spec)
-        _SHARED_MODELS[spec] = model
-    return model
+    return _SHARED_MODELS.get(spec)

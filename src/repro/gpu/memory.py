@@ -94,7 +94,3 @@ class GlobalMemoryPool:
         live = self._live.pop(buf.buffer_id)
         self.bytes_in_use -= live.nbytes
         self._free.append(live)
-
-    @property
-    def live_buffers(self) -> int:
-        return len(self._live)

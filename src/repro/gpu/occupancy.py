@@ -11,7 +11,7 @@ import dataclasses
 import math
 
 from repro.gpu.spec import GPUSpec
-from repro.store import TieredStore
+from repro.store import TieredStore, register
 
 # Distinct (spec, launch config) pairs are few — a handful of specs times
 # the block sizes the mapping strategies and the autotuner's candidate
@@ -19,14 +19,7 @@ from repro.store import TieredStore
 # dict hit.  Entries key on the full GPUSpec value (a frozen dataclass):
 # two equal specs share entries, a spec with any field changed cannot
 # alias.
-_memo = TieredStore(capacity=4096)
-
-
-def clear_occupancy_cache() -> None:
-    """Drop every memoized occupancy entry and zero its counters
-    (``repro.gpu.clear_caches`` is the one-stop helper that also resets
-    the cost-model memos)."""
-    _memo.clear()
+_memo = register("occupancy", TieredStore(capacity=4096))
 
 
 def occupancy_cache_info() -> dict[str, int]:

@@ -33,6 +33,7 @@ from repro.ir.dtypes import DType
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.ir.shape import Shape
+from repro.store import register
 
 # Bump when the encoding below changes; keeps stale persistent-cache
 # entries (keyed by fingerprints of the old scheme) from being served.
@@ -42,8 +43,8 @@ FINGERPRINT_VERSION = 1
 # ``mark_output``), so (node count, output count) is a sufficient
 # staleness guard; a graph mutated any other way is outside the IR's
 # contract.
-_MEMO: "weakref.WeakKeyDictionary[Graph, tuple[int, int, str]]" = (
-    weakref.WeakKeyDictionary())
+_MEMO: "weakref.WeakKeyDictionary[Graph, tuple[int, int, str]]" = register(
+    "fingerprints", weakref.WeakKeyDictionary())
 
 
 def canonical_attr(value: Any) -> str:

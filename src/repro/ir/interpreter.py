@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.ir.graph import Graph, Node, constant_value
 from repro.ir.ops import OpKind, ReduceKind
+from repro.store import register
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -220,8 +221,8 @@ class GraphProgram:
 # Programs are pure derivations of a (built, immutable) graph, so one per
 # graph object serves every Interpreter/evaluate call in the process —
 # same lifetime assumption as the fingerprint memo in repro.ir.fingerprint.
-_PROGRAMS: "weakref.WeakKeyDictionary[Graph, GraphProgram]" \
-    = weakref.WeakKeyDictionary()
+_PROGRAMS: "weakref.WeakKeyDictionary[Graph, GraphProgram]" = register(
+    "interpreter-programs", weakref.WeakKeyDictionary())
 
 
 def graph_program(graph: Graph) -> GraphProgram:

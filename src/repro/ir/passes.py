@@ -38,7 +38,7 @@ from repro.ir.fingerprint import canonical_attr, graph_fingerprint
 from repro.ir.graph import Graph, Node, constant_value
 from repro.ir.interpreter import compile_node
 from repro.ir.ops import OpKind
-from repro.store import TieredStore
+from repro.store import TieredStore, register
 
 # Report keys, one per kind of rewrite the sweep counts.
 ALGEBRAIC = "algebraic_simplification"
@@ -296,12 +296,7 @@ def _restore_interface_names(target: Graph,
 # depend on the compiler, so every compiler that simplifies one graph
 # shares one sweep.  Memory-only: a stored graph is shared with the
 # modules compiled from it, which never mutate it.
-SIMPLIFY_MEMO: TieredStore = TieredStore(capacity=32)
-
-
-def clear_simplify_memo() -> None:
-    """Empty :data:`SIMPLIFY_MEMO` and zero its counters."""
-    SIMPLIFY_MEMO.clear()
+SIMPLIFY_MEMO: TieredStore = register("simplify", TieredStore(capacity=32))
 
 
 def _signature(graph: Graph) -> tuple[int, int]:

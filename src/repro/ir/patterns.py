@@ -42,15 +42,6 @@ def edge_dependency(producer: Node, consumer: Node) -> EdgeDependency:
     return EdgeDependency.ONE_TO_ONE
 
 
-def is_expensive_producer(node: Node) -> bool:
-    """Ops whose per-element recomputation is costly when inlined.
-
-    Reduces always are (a consumer element would redo the whole row);
-    heavy element-wise ops are when followed by a broadcast.
-    """
-    return node.kind is OpKind.REDUCE or is_heavy_elementwise(node.kind)
-
-
 def is_heavy_followed_by_broadcast(graph: Graph, node: Node) -> bool:
     """Pattern (2) of Sec 2.3.1: expensive element-wise feeding a broadcast."""
     if not is_heavy_elementwise(node.kind):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Optional
 
 from repro.compilers.base import CompiledModule, Compiler
 from repro.store import ProcessDefault, TieredStore
@@ -93,16 +92,7 @@ class CompileCache(TieredStore[CacheKey, CompiledModule]):
     value_type = CompiledModule
 
 
-_default = ProcessDefault(CompileCache)
-
-
-def default_cache() -> CompileCache:
-    """The process-wide cache every service/session shares by default
-    (created lazily; honours ``REPRO_COMPILE_CACHE_DIR``)."""
-    return _default.get()
-
-
-def set_default_cache(cache: Optional[CompileCache]) -> None:
-    """Replace the process-wide cache (``None`` resets to lazy
-    re-creation — used by tests to isolate themselves)."""
-    _default.set(cache)
+# The process-wide cache every service/session shares by default.
+_default = ProcessDefault("compile", CompileCache.from_env)
+default_cache = _default.get
+set_default_cache = _default.set

@@ -38,6 +38,7 @@ from repro.runtime.compile_cache import (
     compiler_fingerprint,
     default_cache,
 )
+from repro.store import ProcessDefault
 
 WORKERS_ENV = "REPRO_COMPILE_WORKERS"
 
@@ -323,22 +324,8 @@ class CompileService:
 
 # -- process-wide default ---------------------------------------------------------
 
-_default_service: Optional[CompileService] = None
-_service_lock = threading.Lock()
-
-
-def default_service() -> CompileService:
-    """The process-wide service (lazy; shares :func:`default_cache`)."""
-    global _default_service
-    with _service_lock:
-        if _default_service is None:
-            _default_service = CompileService()
-        return _default_service
-
-
-def set_default_service(service: Optional[CompileService]) -> None:
-    """Replace the process-wide service (``None`` resets to lazy
-    re-creation — used by tests to isolate themselves)."""
-    global _default_service
-    with _service_lock:
-        _default_service = service
+# The process-wide service; a reset stops the pool of the one it drops.
+_default = ProcessDefault("service", CompileService,
+                          close=lambda service: service.shutdown())
+default_service = _default.get
+set_default_service = _default.set

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Optional
 
 from repro.codegen.builder import kernel_cost_inputs
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
@@ -210,16 +209,7 @@ class PlanCache(TieredStore[PlanKey, ExecutionPlan]):
     value_type = ExecutionPlan
 
 
-_default = ProcessDefault(PlanCache)
-
-
-def default_plan_cache() -> PlanCache:
-    """The process-wide plan cache every engine shares by default
-    (created lazily; honours ``REPRO_COMPILE_CACHE_DIR``)."""
-    return _default.get()
-
-
-def set_default_plan_cache(cache: Optional[PlanCache]) -> None:
-    """Replace the process-wide plan cache (``None`` resets to lazy
-    re-creation — used by tests and benches to isolate themselves)."""
-    _default.set(cache)
+# The process-wide plan cache every engine shares by default.
+_default = ProcessDefault("plan", PlanCache.from_env)
+default_plan_cache = _default.get
+set_default_plan_cache = _default.set

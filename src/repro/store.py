@@ -14,6 +14,9 @@ Two tiers:
   ``<prefix><key.digest()>.pkl``.  Point ``REPRO_COMPILE_CACHE_DIR`` at
   a persistent location and the process-wide stores survive restarts.
 
+Every process-wide memo of the package registers here by name
+(:func:`register`); :func:`reset_caches` clears them all.
+
 An entry on disk carries a header — the store's format version, the
 :func:`source_digest` of the code that wrote it, and the full key — and
 is served only when all three match and the value has the expected
@@ -36,13 +39,15 @@ import pathlib
 import pickle
 import tempfile
 import threading
-from typing import Callable, Generic, Hashable, Optional, TypeVar
+from typing import Any, Callable, Generic, Hashable, Optional, TypeVar
 
 CACHE_DIR_ENV = "REPRO_COMPILE_CACHE_DIR"
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 S = TypeVar("S", bound="TieredStore")
+T = TypeVar("T")
+M = TypeVar("M")
 
 
 @functools.lru_cache(maxsize=1)
@@ -137,6 +142,12 @@ class TieredStore(Generic[K, V]):
         self._entries: "collections.OrderedDict[K, V]" = \
             collections.OrderedDict()
         self._lock = threading.Lock()
+
+    @classmethod
+    def from_env(cls: type[S]) -> S:
+        """A store with its persistent tier under ``REPRO_COMPILE_CACHE_DIR``
+        (memory-only when unset): the process defaults' factory."""
+        return cls(cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
 
     # -- lookup / store -----------------------------------------------------
 
@@ -246,30 +257,74 @@ class TieredStore(Generic[K, V]):
                 f"misses={self.stats.misses})")
 
 
-class ProcessDefault(Generic[S]):
-    """A lazily created process-wide store that tests can replace.
+# -- process-wide memos --------------------------------------------------------
 
-    The instance is built on first :meth:`get` with its persistent tier
-    under ``REPRO_COMPILE_CACHE_DIR`` (memory-only when unset).
+#: Every process-wide memo by name.  A memo is anything with ``clear()``
+#: and ``len()``; :func:`reset_caches` clears them all.
+_REGISTRY: dict[str, Any] = {}
+
+
+def register(name: str, memo: M) -> M:
+    """Register ``memo`` under ``name`` and return it.
+
+    Raises:
+        ValueError: If another memo already holds ``name``.
+    """
+    if _REGISTRY.setdefault(name, memo) is not memo:
+        raise ValueError(f"a memo named {name!r} is already registered")
+    return memo
+
+
+def registered() -> dict[str, Any]:
+    """A snapshot of the registry: memo name to memo."""
+    return dict(_REGISTRY)
+
+
+def reset_caches() -> None:
+    """Clear every registered memo, back to a fresh process's cold state
+    (disk tiers untouched).  Defaults go first, so a dropped service's
+    workers finish before the memos they fill are emptied."""
+    memos = sorted(_REGISTRY.values(),
+                   key=lambda memo: not isinstance(memo, ProcessDefault))
+    for memo in memos:
+        memo.clear()
+
+
+class ProcessDefault(Generic[T]):
+    """A lazily created, registered process-wide instance.
 
     Args:
-        factory: The store class (called with ``cache_dir=``).
+        name: Registry name.
+        factory: Builds the instance on first :meth:`get`.
+        close: Called on an instance :meth:`clear` drops.
     """
 
-    def __init__(self, factory: Callable[..., S]):
+    def __init__(self, name: str, factory: Callable[[], T],
+                 close: Optional[Callable[[T], None]] = None):
         self._factory = factory
-        self._instance: Optional[S] = None
+        self._close = close
+        self._instance: Optional[T] = None
         self._lock = threading.Lock()
+        register(name, self)
 
-    def get(self) -> S:
+    def get(self) -> T:
         """The process-wide instance (created on first use)."""
         with self._lock:
             if self._instance is None:
-                self._instance = self._factory(
-                    cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
+                self._instance = self._factory()
             return self._instance
 
-    def set(self, instance: Optional[S]) -> None:
+    def set(self, instance: Optional[T]) -> None:
         """Replace the instance (``None`` resets to lazy re-creation)."""
         with self._lock:
             self._instance = instance
+
+    def clear(self) -> None:
+        """Drop the instance back to lazy re-creation, closing it."""
+        with self._lock:
+            dropped, self._instance = self._instance, None
+        if dropped is not None and self._close is not None:
+            self._close(dropped)
+
+    def __len__(self) -> int:
+        return int(self._instance is not None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Optional
+from typing import Any
 
 from repro.gpu.spec import GPUSpec
 from repro.store import ProcessDefault, TieredStore
@@ -68,16 +68,7 @@ class TuningCache(TieredStore[TuningKey, Any]):
     default_capacity = DEFAULT_CAPACITY
 
 
-_default = ProcessDefault(TuningCache)
-
-
-def default_tuning_cache() -> TuningCache:
-    """The process-wide tuning cache every compile shares by default
-    (created lazily; honours ``REPRO_COMPILE_CACHE_DIR``)."""
-    return _default.get()
-
-
-def set_default_tuning_cache(cache: Optional[TuningCache]) -> None:
-    """Replace the process-wide tuning cache (``None`` resets to lazy
-    re-creation — used by tests and benches to isolate themselves)."""
-    _default.set(cache)
+# The process-wide tuning cache every compile shares by default.
+_default = ProcessDefault("tuning", TuningCache.from_env)
+default_tuning_cache = _default.get
+set_default_tuning_cache = _default.set

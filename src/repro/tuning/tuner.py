@@ -48,6 +48,7 @@ from repro.gpu.costmodel import (KernelCostInputs, KernelCostModel,
                                  cost_model_for)
 from repro.gpu.spec import GPUSpec
 from repro.ir.ops import OpKind
+from repro.store import TieredStore, register
 from repro.tuning import space
 from repro.tuning.cache import TuningCache, TuningKey, default_tuning_cache
 
@@ -95,16 +96,13 @@ class GroupSignature:
         if cached is None:
             text = repr(dataclasses.astuple(self))
             cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            if len(_DIGEST_MEMO) >= _DIGEST_MEMO_BOUND:
-                _DIGEST_MEMO.clear()
-            _DIGEST_MEMO[self] = cached
+            _DIGEST_MEMO.put(self, cached)
         return cached
 
 
 # Distinct signatures are few (shapes repeat heavily across scopes);
-# the bound is a runaway backstop, not a working-set tune.
-_DIGEST_MEMO: dict["GroupSignature", str] = {}
-_DIGEST_MEMO_BOUND = 65536
+# the LRU bound is a runaway backstop, not a working-set tune.
+_DIGEST_MEMO = register("tuning-digests", TieredStore(capacity=65536))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,16 +141,7 @@ def signature_for_group(group: GroupInfo, needs_barrier: bool,
     operand loaded once, every dominant value stored once, each node's
     FP work once — the same quantities kernel costing derives, minus
     the scheme/placement decisions that happen after tuning.
-
-    Memoized on node identity: nodes are immutable after graph
-    construction, and recompiling a graph regroups the *same* node
-    objects, so a warm compile skips the traffic scan entirely.
     """
-    memo_key = (group.dominant, tuple(group.nodes),
-                tuple(group.sub_dominants), needs_barrier, max_block_size)
-    cached = _SIGNATURE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
     dominant = group.dominant
     if dominant.kind is OpKind.REDUCE:
         from repro.codegen.mapping import reduce_geometry
@@ -183,7 +172,7 @@ def signature_for_group(group: GroupInfo, needs_barrier: bool,
     for out in (dominant, *group.sub_dominants):
         bytes_written += out.num_elements * out.dtype.nbytes
 
-    sig = GroupSignature(
+    return GroupSignature(
         kind=kind.value,
         rows=rows,
         width=width,
@@ -194,16 +183,6 @@ def signature_for_group(group: GroupInfo, needs_barrier: bool,
         needs_barrier=needs_barrier,
         max_block_size=max_block_size,
     )
-    if len(_SIGNATURE_MEMO) >= _SIGNATURE_MEMO_BOUND:
-        _SIGNATURE_MEMO.clear()
-    _SIGNATURE_MEMO[memo_key] = sig
-    return sig
-
-
-# Keyed on node *identity* (nodes hash by id), so entries pin their
-# graphs in memory; the bound keeps long-lived processes in check.
-_SIGNATURE_MEMO: dict = {}
-_SIGNATURE_MEMO_BOUND = 16384
 
 
 def candidates_for(sig: GroupSignature,

@@ -14,10 +14,10 @@ DIEN           Recommendation  256                256
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Callable, Optional
 
 from repro.ir.graph import Graph
+from repro.store import TieredStore, register
 from repro.workloads.asr import build_asr
 from repro.workloads.bert import build_bert
 from repro.workloads.crnn import build_crnn
@@ -133,8 +133,8 @@ def build(name: str, training: bool = False,
 # graphs are immutable once built, so one object can serve every caller;
 # reusing the *object* (not just the structure) also keeps every
 # per-graph memo hot — fingerprints, interpreter programs, plan keys.
-_BUILD_CACHE: dict[tuple[str, bool, Optional[int]], Graph] = {}
-_BUILD_LOCK = threading.Lock()
+# The bound holds every graph a serving fleet prices (about 20).
+_BUILD_CACHE = register("workload-builds", TieredStore(capacity=64))
 
 
 def build_cached(name: str, training: bool = False,
@@ -149,10 +149,8 @@ def build_cached(name: str, training: bool = False,
     immutable; use :func:`build` for a private copy.
     """
     key = (name, training, batch)
-    with _BUILD_LOCK:
-        graph = _BUILD_CACHE.get(key)
+    graph = _BUILD_CACHE.get(key)
     if graph is None:
         graph = build(name, training=training, batch=batch)
-        with _BUILD_LOCK:
-            graph = _BUILD_CACHE.setdefault(key, graph)
+        _BUILD_CACHE.put(key, graph)
     return graph

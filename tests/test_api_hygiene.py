@@ -15,7 +15,8 @@ import repro
 
 PACKAGES = ["repro", "repro.ir", "repro.gpu", "repro.codegen",
             "repro.compilers", "repro.core", "repro.workloads",
-            "repro.runtime", "repro.analysis", "repro.serving"]
+            "repro.runtime", "repro.analysis", "repro.serving",
+            "repro.tuning", "repro.pipeline"]
 
 
 def _public_modules():
@@ -67,7 +68,8 @@ class TestExports:
     def test_top_level_surface(self):
         for name in ("GraphBuilder", "AStitchCompiler", "XLACompiler",
                      "Engine", "evaluate", "optimize",
-                     "append_gradients", "compare_compilers"):
+                     "append_gradients", "compare_compilers",
+                     "reset_caches"):
             assert hasattr(repro, name)
 
     def test_version(self):

@@ -4,7 +4,6 @@ import pickle
 import sys
 
 import numpy as np
-import pytest
 
 from repro.compilers import XLACompiler
 from repro.core import AStitchCompiler
@@ -79,55 +78,7 @@ class TestCacheKey:
         assert _key(graph).digest() != _key(graph, spec=T4).digest()
 
 
-class TestMemoryTier:
-    def test_roundtrip_and_counters(self):
-        cache = CompileCache(capacity=4)
-        graph = micro.softmax_graph(8, 8)
-        key = _key(graph)
-        assert cache.get(key) is None
-        module = _compile(graph)
-        cache.put(key, module)
-        assert cache.get(key) is module
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert len(cache) == 1
-
-    def test_lru_evicts_least_recently_used(self):
-        cache = CompileCache(capacity=2)
-        graphs = [micro.row_reduce(4, n) for n in (4, 5, 6)]
-        keys = [_key(g) for g in graphs]
-        modules = [_compile(g) for g in graphs]
-        cache.put(keys[0], modules[0])
-        cache.put(keys[1], modules[1])
-        cache.get(keys[0])              # refresh 0; 1 becomes LRU
-        cache.put(keys[2], modules[2])  # evicts 1
-        assert keys[0] in cache and keys[2] in cache
-        assert keys[1] not in cache
-        assert cache.stats.evictions == 1
-        assert len(cache) == 2
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            CompileCache(capacity=0)
-
-
 class TestPersistentTier:
-    def test_survives_process_restart(self, tmp_path):
-        graph = micro.softmax_graph(16, 8)
-        key = _key(graph)
-        first = CompileCache(cache_dir=tmp_path)
-        first.put(key, _compile(graph))
-        assert first.stats.disk_stores == 1
-
-        # A fresh cache over the same directory models a new process.
-        second = CompileCache(cache_dir=tmp_path)
-        served = second.get(key)
-        assert served is not None
-        assert second.stats.disk_hits == 1
-        # Promoted into memory: the next lookup is a memory hit.
-        assert second.get(key) is served
-        assert second.stats.hits == 1
-
     def test_disk_served_module_is_equivalent(self, tmp_path):
         """The acceptance bar: a persisted module prices and computes
         exactly like a fresh compilation."""

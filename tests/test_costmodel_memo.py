@@ -9,12 +9,13 @@ agreement with the scalar reference is a property test
 """
 
 import dataclasses
+import threading
+import time
 
 import pytest
 
 from repro.gpu.costmodel import KernelCostInputs, KernelCostModel, cost_model_for
-from repro.gpu.occupancy import (clear_occupancy_cache, occupancy,
-                                 occupancy_cache_info)
+from repro.gpu.occupancy import occupancy, occupancy_cache_info
 from repro.gpu.spec import A100, T4, V100, GPUSpec
 
 
@@ -112,10 +113,36 @@ class TestCostModelMemo:
         # Value-equal replacement spec maps to the same shared model.
         assert cost_model_for(dataclasses.replace(V100)) is cost_model_for(V100)
 
+    def test_racing_first_use_shares_one_model(self, monkeypatch):
+        """Compile workers race on a spec's first model; every racer
+        must get the one shared model that ``clear_caches`` reaches."""
+        spec = dataclasses.replace(V100, num_sms=V100.num_sms + 7)
+        construct = KernelCostModel.__init__
+
+        def slow_construct(self, *args):
+            time.sleep(0.05)  # widen the check-then-insert window
+            construct(self, *args)
+
+        monkeypatch.setattr(KernelCostModel, "__init__", slow_construct)
+        start = threading.Barrier(8)
+        models = []
+
+        def race():
+            start.wait(timeout=10)
+            models.append(cost_model_for(spec))
+
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(models) == 8
+        assert all(model is cost_model_for(spec) for model in models)
+
 
 class TestOccupancyMemo:
-    def test_cached_matches_direct(self):
-        clear_occupancy_cache()
+    def test_cached_matches_direct(self, fresh_caches):
         want = occupancy(V100, 256, regs_per_thread=64, smem_per_block=8192)
         info = occupancy_cache_info()
         assert info["misses"] == 1

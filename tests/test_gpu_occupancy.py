@@ -126,13 +126,10 @@ class TestSpecs:
         assert V100.max_resident_blocks == 80 * 32
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestOccupancyCacheControls:
     """The bounded memo (a memory-only ``TieredStore``) that replaced
     the module's unbounded ``functools.lru_cache``."""
-
-    def setup_method(self):
-        from repro.gpu.occupancy import clear_occupancy_cache
-        clear_occupancy_cache()
 
     def test_cache_info_counts(self):
         from repro.gpu.occupancy import occupancy_cache_info
@@ -144,10 +141,10 @@ class TestOccupancyCacheControls:
         assert info["entries"] == 1
 
     def test_clear_resets_entries_and_counters(self):
-        from repro.gpu.occupancy import (clear_occupancy_cache,
-                                         occupancy_cache_info)
+        from repro import reset_caches
+        from repro.gpu.occupancy import occupancy_cache_info
         occupancy(V100, 256)
-        clear_occupancy_cache()
+        reset_caches()
         info = occupancy_cache_info()
         assert info["entries"] == 0
         assert info["hits"] == 0 and info["misses"] == 0

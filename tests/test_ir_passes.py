@@ -18,7 +18,7 @@ from repro.ir.passes import (
     CSE,
     DCE,
     FOLDING,
-    clear_simplify_memo,
+    SIMPLIFY_MEMO,
     optimize,
 )
 from repro.workloads import build
@@ -172,12 +172,12 @@ REGISTRY_COUNTS = [
 
 
 @pytest.mark.parametrize("name, training, before, after", REGISTRY_COUNTS)
-def test_registry_simplified_node_counts(name, training, before, after):
-    clear_simplify_memo()
+def test_registry_simplified_node_counts(name, training, before, after,
+                                         fresh_caches):
     graph = build(name, training=training)
     optimized, _ = optimize(graph)
     assert (len(graph), len(optimized)) == (before, after)
-    clear_simplify_memo()
+    SIMPLIFY_MEMO.clear()  # sweep again rather than hit the memo
     again, report = optimize(optimized)
     assert report.total_changes == 0
     assert again is optimized
@@ -356,7 +356,7 @@ class TestPipeline:
     @settings(max_examples=30, deadline=None)
     def test_optimize_is_idempotent(self, graph):
         optimized, _ = optimize(graph)
-        clear_simplify_memo()  # sweep again rather than hit the memo
+        SIMPLIFY_MEMO.clear()  # sweep again rather than hit the memo
         again, report = optimize(optimized)
         assert report.total_changes == 0
         assert again is optimized

@@ -237,17 +237,12 @@ class TestPlanCache:
         assert load.get(key) is None
         assert load.stats.misses == 1
 
-    def test_default_cache_process_wide(self):
-        try:
-            set_default_plan_cache(None)
-            first = default_plan_cache()
-            assert default_plan_cache() is first
-            replacement = PlanCache()
-            set_default_plan_cache(replacement)
-            assert default_plan_cache() is replacement
-            assert Engine().plan_cache is replacement
-        finally:
-            set_default_plan_cache(None)
+    def test_default_cache_process_wide(self, fresh_caches):
+        first = default_plan_cache()
+        assert Engine().plan_cache is first
+        replacement = PlanCache()
+        set_default_plan_cache(replacement)
+        assert Engine().plan_cache is replacement
 
 
 class TestPickleHygiene:

@@ -6,10 +6,11 @@ between a run priced from scratch (cleared cost-model memos, a fresh
 plan cache) and a warm replay of the same run.
 """
 
+import pytest
+
 from repro.core import AStitchCompiler
-from repro.gpu import clear_caches
 from repro.gpu.spec import T4, V100
-from repro.runtime.plan import PlanCache, set_default_plan_cache
+from repro.runtime.plan import PlanCache, default_plan_cache
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.cluster import Cluster
 from repro.serving.harness import max_sustainable_qps, run_loadtest
@@ -19,23 +20,20 @@ from repro.serving.worker import ServiceTimeOracle, make_fleet
 def _cold_and_warm(run):
     """Run ``run`` priced from scratch, then again as a pure replay.
 
-    The first call starts from cleared cost-model memos and an empty
-    plan cache; the second must build no plan, only replay them.
+    The first call starts from the ``fresh_caches`` cold state (cleared
+    cost-model memos, an empty plan cache); the second must build no
+    plan, only replay them.
     """
-    plans = PlanCache()
-    try:
-        set_default_plan_cache(plans)
-        clear_caches()
-        cold = run()
-        built = plans.stats.misses
-        warm = run()
-    finally:
-        set_default_plan_cache(None)
+    plans = default_plan_cache()
+    cold = run()
+    built = plans.stats.misses
+    warm = run()
     assert built > 0
     assert plans.stats.misses == built  # the warm run only replays
     return cold, warm
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestLoadtestDeterminism:
     def test_report_identical_cold_and_warm(self):
         compiler = AStitchCompiler()
@@ -63,6 +61,7 @@ class TestLoadtestDeterminism:
         assert cold == warm
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestCapacitySearchDeterminism:
     def test_capacity_identical_with_and_without_plans(self):
         compiler = AStitchCompiler()

@@ -17,22 +17,14 @@ from repro.gpu.spec import V100
 from repro.ir.builder import GraphBuilder
 from repro.ir.graph import Graph
 from repro.ir.ops import OpKind
-from repro.ir.passes import (
-    SIMPLIFY_MEMO,
-    clear_simplify_memo,
-    optimize,
-)
+from repro.ir.passes import SIMPLIFY_MEMO, optimize
 from repro.runtime.compile_cache import CompileCache
 from repro.runtime.compile_service import CompileService
 from repro.runtime.plan import module_pricing_signature
 from repro.workloads import build
 
 
-@pytest.fixture(autouse=True)
-def empty_memo():
-    clear_simplify_memo()
-    yield
-    clear_simplify_memo()
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def _capture(module) -> dict:
@@ -51,7 +43,7 @@ class TestOncePerGraph:
         assert (SIMPLIFY_MEMO.stats.misses, SIMPLIFY_MEMO.stats.hits) \
             == (1, 7)
         for name, cls in COMPILERS.items():
-            clear_simplify_memo()
+            SIMPLIFY_MEMO.clear()
             fresh = _capture(cls().compile_optimized(graph, V100))
             assert SIMPLIFY_MEMO.stats.hits == 0
             assert shared[name] == fresh, name
@@ -86,9 +78,9 @@ class TestOncePerGraph:
         compilers = (XLACompiler(), AStitchCompiler())
         serial = []
         for compiler in compilers:
-            clear_simplify_memo()
+            SIMPLIFY_MEMO.clear()
             serial.append(_capture(compiler.compile_optimized(graph, V100)))
-        clear_simplify_memo()
+        SIMPLIFY_MEMO.clear()
         service = CompileService(cache=CompileCache(), max_workers=2)
         try:
             futures = [service.submit(graph, compiler, V100, optimize=True)

@@ -1,6 +1,7 @@
-"""The shared two-tier artifact store, over its three configurations.
+"""The shared two-tier artifact store, over its three configurations,
+and the registry of process-wide memos.
 
-Every test runs against the compile, plan and tuning caches, which
+Every tier test runs against the compile, plan and tuning caches, which
 differ only in file prefix, format version, default capacity and
 expected value type.  Type-specific behaviour (key fields, disk-served
 module equivalence, pickle hygiene) stays in the per-cache test files.
@@ -16,6 +17,8 @@ from repro.compilers import XLACompiler
 from repro.gpu.spec import V100
 from repro.runtime.compile_cache import (CacheKey, CompileCache,
                                          default_cache, set_default_cache)
+from repro.runtime.compile_service import (CompileService, default_service,
+                                           set_default_service)
 from repro.runtime.engine import EngineConfig
 from repro.runtime.plan import (ExecutionPlan, PlanCache, PlanKey,
                                 default_plan_cache, set_default_plan_cache)
@@ -80,8 +83,10 @@ class TestMemoryTier:
         cls, key, value, _ = case
         cache = cls(cache_dir=tmp_path)
         assert cache.get(key(0)) is None
-        cache.put(key(0), value(0))
-        assert cache.get(key(0)) is not None
+        stored = value(0)
+        cache.put(key(0), stored)
+        assert cache.get(key(0)) is stored
+        assert len(cache) == 1
         fresh = cls(cache_dir=tmp_path)
         assert fresh.get(key(0)) is not None
         assert (cache.stats.hits, cache.stats.disk_hits,
@@ -217,3 +222,61 @@ class TestProcessDefault:
             assert get_default() is replacement
         finally:
             set_default(None)
+
+    def test_reset_caches_drops_every_default(self, fresh_caches):
+        defaults = {name: memo for name, memo in store.registered().items()
+                    if isinstance(memo, store.ProcessDefault)}
+        assert set(defaults) == {"compile", "plan", "tuning", "service"}
+        before = {name: default.get() for name, default in defaults.items()}
+        store.reset_caches()
+        assert [len(default) for default in defaults.values()] \
+            == [0] * len(defaults)
+        for name, default in defaults.items():
+            assert default.get() is not before[name], name
+
+    def test_reset_shuts_down_the_dropped_service(self, fresh_caches):
+        class Recording(CompileService):
+            closed = False
+
+            def shutdown(self, wait=True):
+                self.closed = wait
+                super().shutdown(wait)
+
+        service = Recording(cache=CompileCache(), max_workers=0)
+        set_default_service(service)
+        assert default_service() is service
+        store.reset_caches()
+        assert service.closed
+        assert default_service() is not service
+
+
+class TestRegistry:
+    def test_register_returns_the_memo(self, monkeypatch):
+        monkeypatch.setattr(store, "_REGISTRY", {})
+        memo = store.TieredStore()
+        assert store.register("m", memo) is memo
+        assert store.register("m", memo) is memo  # idempotent
+        assert store.registered() == {"m": memo}
+
+    def test_name_clash_rejected(self):
+        with pytest.raises(ValueError, match="simplify"):
+            store.register("simplify", store.TieredStore())
+
+    def test_reset_clears_defaults_before_memos(self, monkeypatch):
+        monkeypatch.setattr(store, "_REGISTRY", {})
+        order = []
+
+        class Memo:
+            def __init__(self, name):
+                self.name = name
+
+            def clear(self):
+                order.append(self.name)
+
+        store.register("memo", Memo("memo"))
+        default = store.ProcessDefault("default", lambda: Memo("x"),
+                                       close=lambda m: order.append("close"))
+        default.get()
+        store.reset_caches()
+        assert order == ["close", "memo"]
+        assert len(default) == 0

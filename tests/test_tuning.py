@@ -23,17 +23,12 @@ from repro.tuning import (
     TuningKey,
     candidates_for,
     proxy_cost_inputs,
-    set_default_tuning_cache,
 )
 from repro.workloads import WORKLOADS, build, micro
 
 
-@pytest.fixture(autouse=True)
-def _isolated_tuning_cache():
-    """Each test gets a fresh memory-only process-wide cache."""
-    set_default_tuning_cache(TuningCache())
-    yield
-    set_default_tuning_cache(None)
+# Each test starts from an empty process-wide tuning cache.
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def row_reduce_sig(rows=200, width=200_000, needs_barrier=False,
