@@ -52,9 +52,7 @@ def test_bench_compile_cache():
     graphs = {name: build(name) for name in WORKLOADS}
     compilers = [TensorFlowCompiler(), XLACompiler(),
                  TensorRTCompiler(), AStitchCompiler()]
-    # Inline workers: the measured delta is pure cache effect, not
-    # thread-pool overlap.
-    service = CompileService(cache=CompileCache(), max_workers=0)
+    service = CompileService(cache=CompileCache())
 
     cold_seconds, cold_rows = _sweep(service, graphs, compilers)
     warm_seconds, warm_rows = _sweep(service, graphs, compilers)

@@ -72,9 +72,7 @@ def run_hotpath_bench(qps: float = 250.0,
     """
     from repro.core.compiler import AStitchCompiler
     compiler = AStitchCompiler()
-    # Inline compile workers: the deltas below are cache effects, not
-    # thread-pool overlap.
-    service = CompileService(cache=CompileCache(), max_workers=0)
+    service = CompileService(cache=CompileCache())
     plan_cache = PlanCache()
     demand = {name: qps for name in workloads}
     buckets = bucket_sizes(max_batch)

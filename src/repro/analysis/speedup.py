@@ -44,10 +44,9 @@ def compare_compilers(graph: Graph, compilers: Sequence[Compiler],
                       service=None) -> ComparisonResult:
     """Compile and price ``graph`` under each compiler.
 
-    All compilations are submitted to the compile service at once (the
-    process-wide one unless ``service`` is given), so cold strategies
-    compile concurrently and repeated comparisons of structurally
-    identical graphs are cache hits.
+    Every compilation goes through the compile service (the
+    process-wide one unless ``service`` is given), so repeated
+    comparisons of structurally identical graphs are cache hits.
 
     Compilers that reject the workload (e.g. TensorRT on a training
     graph) are skipped, mirroring how the paper's Fig 11b omits TensorRT.
@@ -56,12 +55,10 @@ def compare_compilers(graph: Graph, compilers: Sequence[Compiler],
         from repro.runtime.compile_service import default_service
         service = default_service()
     engine = Engine(spec)
-    futures = [(compiler, service.submit(graph, compiler, spec))
-               for compiler in compilers]
     profiles: dict[str, ExecutionPlan] = {}
-    for compiler, future in futures:
+    for compiler in compilers:
         try:
-            module = future.result()
+            module = service.compile(graph, compiler, spec)
         except RuntimeError:
             continue
         profiles[compiler.name] = engine.run(module)

@@ -134,13 +134,11 @@ def cmd_compare(args) -> int:
     spec = DEVICES[args.device]
     engine = Engine(spec)
     service = default_service()
-    futures = [(name, service.submit(graph, compiler_cls(), spec))
-               for name, compiler_cls in COMPILERS.items()]
     rows = []
     baseline = None
-    for name, future in futures:
+    for name, compiler_cls in COMPILERS.items():
         try:
-            module = future.result()
+            module = service.compile(graph, compiler_cls(), spec)
         except RuntimeError as error:
             rows.append([name, "-", "-", "-", f"({error})"])
             continue
@@ -235,7 +233,7 @@ def cmd_warmup(args) -> int:
     """
     cache = (CompileCache(cache_dir=args.cache_dir) if args.cache_dir
              else default_cache())
-    service = CompileService(cache=cache, max_workers=args.workers)
+    service = CompileService(cache=cache)
     names = [c for c in args.compilers.split(",") if c]
     for name in names:
         if name not in COMPILERS:
@@ -418,7 +416,7 @@ def cmd_tune(args) -> int:
     spec = DEVICES[args.device]
     engine = Engine(spec)
     config = AStitchConfig.full()
-    tuner = GroupTuner(spec, service=default_service())
+    tuner = GroupTuner(spec)
     failures = []
     for graph_name in args.graphs:
         graph = _build_graph(graph_name, args.train)
@@ -657,8 +655,6 @@ def make_parser() -> argparse.ArgumentParser:
     warmup.add_argument("--cache-dir", default="",
                         help="persistent cache directory (defaults to "
                              "$REPRO_COMPILE_CACHE_DIR)")
-    warmup.add_argument("--workers", type=int, default=None,
-                        help="compile worker threads (0 = inline)")
     warmup.set_defaults(func=cmd_warmup)
 
     def add_serving(p):

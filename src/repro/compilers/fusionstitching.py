@@ -35,13 +35,10 @@ class FusionStitchingCompiler(Compiler):
         self.config = AStitchConfig.regional_only()
 
     def build_pipeline(self) -> Pipeline:
-        cfg = self.config
-        tuning_enabled = (cfg.tune and cfg.adaptive_thread_mapping
-                          and cfg.exhaustive_stitching)
         finalize = FinalizeModulePass(
             self.name,
             seconds_per_node=ASTITCH_COMPILE_SECONDS_PER_NODE)
         return Pipeline(
             name="fusionstitching",
-            passes=(*stitching_passes(cfg, tuning_enabled),
+            passes=(*stitching_passes(self.config),
                     *standard_tail(finalize)))

@@ -51,21 +51,14 @@ class AStitchCompiler(Compiler):
         elif not self.config.tune:
             self.name = "AStitch-heuristic"
 
-    @property
-    def _tuning_enabled(self) -> bool:
-        """Tuning searches the adaptive design space, so it only applies
-        on the adaptive-mapping, full-stitching path."""
-        return (self.config.tune and self.config.adaptive_thread_mapping
-                and self.config.exhaustive_stitching)
-
     def build_pipeline(self) -> Pipeline:
         tag = (f"tune:{self.config.tuning_tag()}"
-               if self._tuning_enabled else "")
+               if self.config.tuning_enabled else "")
         finalize = FinalizeModulePass(
             self.name,
             seconds_per_node=ASTITCH_COMPILE_SECONDS_PER_NODE,
             codegen_tag=tag)
         return Pipeline(
             name=self.name.lower(),
-            passes=(*stitching_passes(self.config, self._tuning_enabled),
+            passes=(*stitching_passes(self.config),
                     *standard_tail(finalize)))

@@ -77,6 +77,14 @@ class AStitchConfig:
         """Tuning ablation: the one-shot Sec 3.3 heuristics, no search."""
         return AStitchConfig(tune=False)
 
+    @property
+    def tuning_enabled(self) -> bool:
+        """Whether the launch search runs: it searches the adaptive
+        design space, so only on the adaptive-mapping, full-stitching
+        path."""
+        return (self.tune and self.adaptive_thread_mapping
+                and self.exhaustive_stitching)
+
     def tuning_tag(self) -> str:
         """Rendering of the tuning-relevant switches, used in tuning-cache
         keys so ablation configs can never alias each other's decisions."""

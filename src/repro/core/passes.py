@@ -29,8 +29,9 @@ tuning pass prices candidate launches through exactly the same functions
 the later passes run, so the chosen variant lowers to identical kernels
 by construction.
 
-:class:`AdaptiveThreadMappingPass` is the ``ATM`` ablation's formation
-stage: adaptive mappings applied on XLA's fusion scopes, no stitching.
+:func:`adaptive_mapping_factory` is the ``ATM`` ablation's mapping
+rule: the shared kernel-formation pass applies it on XLA's fusion
+scopes, no stitching.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.codegen.builder import make_kernel
 from repro.codegen.kernel import Kernel
 from repro.codegen import mapping as mappings
 from repro.codegen.schedule import ThreadMapping
-from repro.compilers.common import build_root_kernels, xla_fusion_roots
+from repro.compilers.common import MappingFn, xla_fusion_roots
 from repro.core.adaptive import UnifiedLaunch, unify_launch
 from repro.core.config import AStitchConfig
 from repro.core.dominants import ScopeAnalysis, analyze_scope
@@ -55,8 +56,8 @@ from repro.core.scope import StitchScope, identify_stitch_scopes
 from repro.gpu.spec import GPUSpec
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
-from repro.ir import patterns
 from repro.pipeline.base import CompileState, Pass
+from repro.pipeline.lowering import FusionKernelFormationPass
 from repro.store import register
 
 # The scratch slot the AStitch passes share.
@@ -345,9 +346,8 @@ def tuned_launch_for(graph: Graph, analysis: ScopeAnalysis, spec: GPUSpec,
     tuning cache itself (the caller stores the lowered best-of verdict
     under that key so warm compiles lower each scope once).
     """
-    from repro.runtime.compile_service import default_service
     from repro.tuning import GroupTuner, signature_for_group
-    tuner = GroupTuner(spec, service=default_service())
+    tuner = GroupTuner(spec)
     memo = _SIGNATURES.setdefault(graph, {})
     sigs = []
     for group in analysis.groups:
@@ -615,52 +615,41 @@ class StitchCodegenPass(Pass):
         return {"kernels": len(state.kernels), "barriers": barriers}
 
 
-class AdaptiveThreadMappingPass(Pass):
-    """The ``ATM`` ablation's formation stage: adaptive thread mappings
-    applied on XLA's fusion scopes (Table 4), no stitching."""
+def adaptive_mapping_factory(state: CompileState) -> MappingFn:
+    """The Sec 3.3 adaptive thread-mapping rule for ``state``'s device."""
+    spec = state.spec
 
-    name = "adaptive-thread-mapping"
-    kind = "lower"
+    def adaptive_mapping_for(root: Node) -> ThreadMapping:
+        if root.kind is OpKind.REDUCE:
+            rows, width = mappings.reduce_geometry(
+                root.operands[0].shape, root.reduce_axes)
+            if root.is_row_reduce():
+                return mappings.adaptive_row_reduce(rows, width, spec)
+            return mappings.adaptive_column_reduce(rows, width, spec)
+        return mappings.adaptive_elementwise(
+            max(1, root.num_elements), spec)
 
-    def run(self, state: CompileState) -> dict[str, Any]:
-        graph, spec = state.graph, state.spec
-
-        def adaptive_mapping_for(root: Node):
-            if root.kind is OpKind.REDUCE:
-                rows, width = mappings.reduce_geometry(
-                    root.operands[0].shape, root.reduce_axes)
-                if root.is_row_reduce():
-                    return mappings.adaptive_row_reduce(rows, width, spec)
-                return mappings.adaptive_column_reduce(rows, width, spec)
-            return mappings.adaptive_elementwise(
-                max(1, root.num_elements), spec)
-
-        components = 0
-        for component in patterns.memory_intensive_components(graph):
-            components += 1
-            roots = xla_fusion_roots(graph, component)
-            state.kernels.extend(build_root_kernels(
-                graph, component, roots, adaptive_mapping_for))
-        return {"components": components,
-                "kernels": len(state.kernels)}
+    return adaptive_mapping_for
 
 
-def stitching_passes(config: AStitchConfig,
-                     tuning_enabled: bool) -> tuple[Pass, ...]:
+def stitching_passes(config: AStitchConfig) -> tuple[Pass, ...]:
     """The AStitch formation stages for ``config``, in phase order.
 
     The ``ATM`` ablation (``exhaustive_stitching=False``) replaces the
-    whole stitching sequence with adaptive mapping on XLA scopes; the
-    tuning phase appears only when the search actually applies.
+    whole stitching sequence with adaptive mappings applied on XLA's
+    fusion scopes (Table 4); the tuning phase appears only when the
+    search actually applies.
     """
     if not config.exhaustive_stitching:
-        return (AdaptiveThreadMappingPass(),)
+        return (FusionKernelFormationPass(
+            "adaptive-thread-mapping", xla_fusion_roots,
+            adaptive_mapping_factory, "adaptive"),)
     passes: list[Pass] = [
         StitchScopeIdentificationPass(config),
         DominantAnalysisPass(config),
         SchedulePropagationPass(config),
     ]
-    if tuning_enabled:
+    if config.tuning_enabled:
         passes.append(LaunchTuningPass(config))
     passes.extend([
         BlockLocalityPass(config),

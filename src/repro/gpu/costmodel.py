@@ -301,7 +301,7 @@ class KernelCostModel:
 class SharedModels:
     """One :class:`KernelCostModel` per spec, shared by Ansor's tuning
     probes, the CLI and every Engine, so a kernel configuration is
-    priced once per process.  Creation is locked (compile workers race
+    priced once per process.  Creation is locked (caller threads race
     on first use); :meth:`clear` empties each price memo in place."""
 
     def __init__(self):

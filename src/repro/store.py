@@ -282,11 +282,8 @@ def registered() -> dict[str, Any]:
 
 def reset_caches() -> None:
     """Clear every registered memo, back to a fresh process's cold state
-    (disk tiers untouched).  Defaults go first, so a dropped service's
-    workers finish before the memos they fill are emptied."""
-    memos = sorted(_REGISTRY.values(),
-                   key=lambda memo: not isinstance(memo, ProcessDefault))
-    for memo in memos:
+    (disk tiers untouched)."""
+    for memo in _REGISTRY.values():
         memo.clear()
 
 
@@ -296,13 +293,10 @@ class ProcessDefault(Generic[T]):
     Args:
         name: Registry name.
         factory: Builds the instance on first :meth:`get`.
-        close: Called on an instance :meth:`clear` drops.
     """
 
-    def __init__(self, name: str, factory: Callable[[], T],
-                 close: Optional[Callable[[T], None]] = None):
+    def __init__(self, name: str, factory: Callable[[], T]):
         self._factory = factory
-        self._close = close
         self._instance: Optional[T] = None
         self._lock = threading.Lock()
         register(name, self)
@@ -320,11 +314,8 @@ class ProcessDefault(Generic[T]):
             self._instance = instance
 
     def clear(self) -> None:
-        """Drop the instance back to lazy re-creation, closing it."""
-        with self._lock:
-            dropped, self._instance = self._instance, None
-        if dropped is not None and self._close is not None:
-            self._close(dropped)
+        """Drop the instance back to lazy re-creation."""
+        self.set(None)
 
     def __len__(self) -> int:
         return int(self._instance is not None)

@@ -231,20 +231,15 @@ class GroupTuner:
             :func:`default_tuning_cache`.
         cost_model: Pricing model; defaults to the shared per-spec model
             (so tuning seeds the same memo the engine prices through).
-        service: Optional :class:`CompileService` whose worker pool
-            enumerates candidate sets concurrently; ``None`` enumerates
-            on the calling thread.
     """
 
     def __init__(self, spec: GPUSpec,
                  cache: Optional[TuningCache] = None,
-                 cost_model: Optional[KernelCostModel] = None,
-                 service=None):
+                 cost_model: Optional[KernelCostModel] = None):
         self.spec = spec
         self.cache = cache if cache is not None else default_tuning_cache()
         self.model = cost_model if cost_model is not None \
             else cost_model_for(spec)
-        self.service = service
 
     def tune_signature(self, sig: GroupSignature,
                        config_tag: str = "") -> TunedDecision:
@@ -256,8 +251,7 @@ class GroupTuner:
         """Tune many signatures with one batched pricing pass.
 
         Cache lookups run first; every uncached signature's candidate
-        set is enumerated (concurrently when a service is attached),
-        then *all* of their candidates are priced in a single
+        set is enumerated, then *all* of their candidates are priced in a single
         ``price_batch`` call — the whole sweep is one NumPy pass, not
         one model call per candidate.
         """
@@ -275,7 +269,8 @@ class GroupTuner:
                 missing.append((sig, key))
 
         if missing:
-            candidate_sets = self._enumerate([sig for sig, _ in missing])
+            candidate_sets = [candidates_for(sig, self.spec)
+                              for sig, _ in missing]
             flat: list[KernelCostInputs] = []
             for (sig, _), cands in zip(missing, candidate_sets):
                 flat.extend(proxy_cost_inputs(sig, m) for m in cands)
@@ -318,14 +313,6 @@ class GroupTuner:
     def _key(self, sig: GroupSignature, config_tag: str) -> TuningKey:
         return TuningKey(group=sig.digest(), spec=self.spec,
                          config=config_tag)
-
-    def _enumerate(self, sigs: Sequence[GroupSignature],
-                   ) -> list[list[ThreadMapping]]:
-        thunks = [(lambda s=sig: candidates_for(s, self.spec))
-                  for sig in sigs]
-        if self.service is not None and len(thunks) > 1:
-            return self.service.run_parallel(thunks)
-        return [thunk() for thunk in thunks]
 
     @staticmethod
     def _select(cands: Sequence[ThreadMapping],

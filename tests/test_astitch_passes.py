@@ -14,7 +14,6 @@ from repro.core import AStitchCompiler
 from repro.core.config import AStitchConfig
 from repro.core.passes import (
     SCRATCH_KEY,
-    AdaptiveThreadMappingPass,
     BlockLocalityPass,
     DominantAnalysisPass,
     LaunchTuningPass,
@@ -29,7 +28,7 @@ from repro.core.passes import (
 )
 from repro.core.schemes import StitchScheme
 from repro.gpu.spec import V100
-from repro.pipeline import CompileState
+from repro.pipeline import CompileState, FusionKernelFormationPass
 from repro.workloads import micro
 
 CONFIG = AStitchConfig.heuristic_mappings()
@@ -203,24 +202,25 @@ class TestTuningPass:
 
 class TestPipelineAssembly:
     def test_full_config_with_tuning(self):
-        names = [p.name for p in stitching_passes(AStitchConfig.full(),
-                                                  tuning_enabled=True)]
+        names = [p.name for p in stitching_passes(AStitchConfig.full())]
         assert names == ["stitch-scope-id", "dominant-analysis",
                          "schedule-propagation", "launch-tuning",
                          "block-locality", "memory-planning",
                          "resource-launch"]
 
     def test_tuning_disabled_drops_the_pass(self):
-        names = [p.name for p in stitching_passes(CONFIG,
-                                                  tuning_enabled=False)]
+        names = [p.name for p in stitching_passes(CONFIG)]
         assert "launch-tuning" not in names
         assert len(names) == 6
 
     def test_atm_ablation_is_a_single_pass(self):
         config = AStitchConfig.adaptive_mapping_only()
-        passes = stitching_passes(config, tuning_enabled=False)
+        passes = stitching_passes(config)
         assert len(passes) == 1
-        assert isinstance(passes[0], AdaptiveThreadMappingPass)
+        assert isinstance(passes[0], FusionKernelFormationPass)
+        assert passes[0].name == "adaptive-thread-mapping"
+        assert passes[0].params() == ("roots=xla_fusion_roots,"
+                                      "mapping=adaptive")
 
     def test_compiler_variants_have_distinct_fingerprints(self):
         fingerprints = {

@@ -2,6 +2,7 @@
 
 import pickle
 import sys
+import threading
 
 import numpy as np
 
@@ -167,9 +168,9 @@ class TestPersistentTier:
 
 class TestConcurrentWrites:
     def test_threaded_writers_all_land_on_disk(self, tmp_path):
-        """Worker threads persisting deep modules — and every worker
-        writing the same key through its own store — leave only whole
-        entries that a fresh store serves from disk.
+        """Caller threads compiling deep modules through one service —
+        beside threads each writing the same key through its own store —
+        leave only whole entries that a fresh store serves from disk.
 
         Each writer gets its own copy of the shared module, as separate
         processes would, and the switch interval keeps its default: on
@@ -181,21 +182,20 @@ class TestConcurrentWrites:
         graphs = [_tanh_chain(1_000 + 100 * i) for i in range(6)]
         shared_graph = _tanh_chain(5_000, width=32)
         shared_module = compiler.compile(shared_graph, V100)
-        service = CompileService(cache=CompileCache(cache_dir=tmp_path),
-                                 max_workers=4)
+        service = CompileService(cache=CompileCache(cache_dir=tmp_path))
         shared_key = service.key_for(shared_graph, compiler)
         writers = [CompileCache(cache_dir=tmp_path) for _ in range(16)]
         copies = [pickle.loads(pickle.dumps(shared_module))
                   for _ in writers]
-        try:
-            futures = [service.submit(g, compiler) for g in graphs]
-            service.run_parallel([
-                (lambda w=w, m=copy: w.put(shared_key, m))
-                for w, copy in zip(writers, copies)])
-            for future in futures:
-                future.result(timeout=120)
-        finally:
-            service.shutdown()
+        calls = ([(lambda g=g: service.compile(g, compiler)) for g in graphs]
+                 + [(lambda w=w, m=copy: w.put(shared_key, m))
+                    for w, copy in zip(writers, copies)])
+        threads = [threading.Thread(target=call) for call in calls]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
         assert service.cache.stats.disk_stores == len(graphs)
         assert [w.stats.disk_stores for w in writers] == [1] * len(writers)
         assert not list(tmp_path.glob("*.tmp*"))

@@ -1,4 +1,4 @@
-"""Tests for the parallel, deduplicating compile service."""
+"""Tests for the deduplicating compile service."""
 
 import threading
 import time
@@ -11,7 +11,7 @@ from repro.core import AStitchCompiler
 from repro.gpu.spec import V100
 from repro.runtime import JitCache, Session
 from repro.runtime.compile_cache import CompileCache
-from repro.runtime.compile_service import CompileService
+from repro.runtime.compile_service import CompileService, default_service
 from repro.workloads import micro
 
 
@@ -36,19 +36,46 @@ class CountingCompiler(Compiler):
 
 
 class FailingCompiler(Compiler):
-    """A strategy that always rejects its input."""
+    """A strategy that always rejects its input (optionally slowly)."""
 
     name = "failing"
     calls = 0
 
+    def __init__(self, delay: float = 0.0):
+        self.delay = delay
+
     def compile(self, graph, spec=V100):
         """Raise, as e.g. TensorRT does on training graphs."""
         type(self).calls += 1
+        if self.delay:
+            time.sleep(self.delay)
         raise RuntimeError("rejected")
 
 
-def _service(max_workers=2):
-    return CompileService(cache=CompileCache(), max_workers=max_workers)
+def _service():
+    return CompileService(cache=CompileCache())
+
+
+def _on_threads(count, call):
+    """Run ``call()`` on ``count`` caller threads released together;
+    returns each thread's result or raised exception."""
+    start = threading.Barrier(count)
+    outcomes = [None] * count
+
+    def run(index):
+        start.wait()
+        try:
+            outcomes[index] = call()
+        except Exception as error:  # noqa: BLE001 — returned to the test
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return outcomes
 
 
 class TestCaching:
@@ -62,12 +89,17 @@ class TestCaching:
         assert service.cache.stats.hits == 1
 
     def test_inline_mode_compiles_and_caches(self):
-        service = _service(max_workers=0)
+        service = _service()
         compiler = CountingCompiler()
         graph = micro.softmax_graph(8, 8)
         assert service.compile(graph, compiler) \
             is service.compile(graph, compiler)
         assert compiler.calls == 1
+
+    def test_max_workers_accepts_only_zero(self):
+        CompileService(cache=CompileCache(), max_workers=0)
+        with pytest.raises(ValueError, match="max_workers"):
+            CompileService(cache=CompileCache(), max_workers=2)
 
     def test_distinct_keys_compile_separately(self):
         service = _service()
@@ -79,7 +111,7 @@ class TestCaching:
         assert compiler.calls == 3
 
     def test_failures_are_not_cached(self):
-        service = _service(max_workers=0)
+        service = _service()
         compiler = FailingCompiler()
         graph = micro.softmax_graph(8, 8)
         before = FailingCompiler.calls
@@ -93,40 +125,30 @@ class TestCaching:
 
 class TestSingleFlight:
     def test_concurrent_requests_compile_once(self):
-        service = _service(max_workers=4)
+        service = _service()
         compiler = CountingCompiler(delay=0.15)
         graph = micro.softmax_graph(32, 32)
-        futures = [service.submit(graph, compiler) for _ in range(8)]
-        modules = {id(f.result()) for f in futures}
-        assert len(modules) == 1
+        modules = _on_threads(8, lambda: service.compile(graph, compiler))
+        assert len({id(module) for module in modules}) == 1
         assert compiler.calls == 1
         assert service.stats.coalesced == 7
 
-    def test_compile_many_fans_out(self):
-        service = _service(max_workers=4)
-        compiler = CountingCompiler(delay=0.05)
-        graphs = [micro.row_reduce(8, n) for n in (8, 9, 10, 11)]
-        started = time.perf_counter()
-        modules = service.compile_many([(g, compiler) for g in graphs])
-        elapsed = time.perf_counter() - started
-        assert all(m is not None for m in modules)
-        assert compiler.calls == 4
-        # Four 50 ms sleeps on four workers overlap; serial would be
-        # >= 200 ms.  Generous bound to stay robust on loaded CI.
-        assert elapsed < 0.2 + 0.15
-
-    def test_compile_many_maps_failures_to_none(self):
-        service = _service(max_workers=0)
-        graph = micro.softmax_graph(8, 8)
-        results = service.compile_many(
-            [(graph, CountingCompiler()), (graph, FailingCompiler())])
-        assert results[0] is not None
-        assert results[1] is None
+    def test_concurrent_failure_reaches_every_caller(self):
+        service = _service()
+        compiler = FailingCompiler(delay=0.15)
+        graph = micro.softmax_graph(32, 32)
+        before = FailingCompiler.calls
+        outcomes = _on_threads(4, lambda: service.compile(graph, compiler))
+        assert all(isinstance(outcome, RuntimeError)
+                   for outcome in outcomes)
+        assert FailingCompiler.calls == before + 1
+        assert service.stats.failed == 1
+        assert len(service.cache) == 0
 
 
 class TestWarmup:
     def test_warmup_populates_cache(self):
-        service = _service(max_workers=2)
+        service = _service()
         compiler = CountingCompiler()
         graphs = [micro.softmax_graph(8, 8), micro.row_reduce(8, 8)]
         report = service.warmup(graphs, [compiler])
@@ -140,7 +162,7 @@ class TestWarmup:
         assert compiler.calls == 2
 
     def test_warmup_records_rejections(self):
-        service = _service(max_workers=0)
+        service = _service()
         report = service.warmup([micro.softmax_graph(8, 8)],
                                 [FailingCompiler()])
         assert report.pairs == 1
@@ -149,6 +171,23 @@ class TestWarmup:
         graph_name, compiler_name, message = report.failures[0]
         assert compiler_name == "failing"
         assert "rejected" in message
+
+    def test_warmup_compiles_on_the_caller_thread(self, fresh_caches):
+        seen = []
+
+        class Recording(CountingCompiler):
+            def compile(self, graph, spec=V100):
+                """Record the compiling thread, then compile."""
+                seen.append(threading.current_thread())
+                return super().compile(graph, spec)
+
+        threads_before = threading.active_count()
+        report = default_service().warmup(
+            [micro.softmax_graph(8, 8), micro.row_reduce(8, 8)],
+            [Recording()])
+        assert report.compiled == 2
+        assert seen == [threading.current_thread()] * 2
+        assert threading.active_count() == threads_before
 
 
 class TestFrontEnds:

@@ -264,7 +264,7 @@ class TestCompilerIntegration:
         from repro.runtime.compile_service import CompileService
         from repro.runtime.session import Session
 
-        service = CompileService(cache=CompileCache(), max_workers=0)
+        service = CompileService(cache=CompileCache())
         session = Session(compiler=XLACompiler(), service=service,
                           optimize_graphs=False)
         graph = micro.softmax_graph(64, 64)
@@ -274,9 +274,6 @@ class TestCompilerIntegration:
         timing = session.pass_timing(graph)
         assert set(timing) == {r.pass_name for r in reports}
         assert all(seconds >= 0.0 for seconds in timing.values())
-        # the service aggregated the same cold compile
-        assert service.stats.pass_runs["xla-fusion"] == 1
-        assert service.stats.pass_seconds["xla-fusion"] >= 0.0
 
     def test_pass_trace_export(self, tmp_path):
         import json

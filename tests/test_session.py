@@ -59,8 +59,7 @@ class TestSession:
         # may legitimately serve this entry.
         graph = micro.softmax_graph(16, 8)
         plain = Session(optimize_graphs=False,
-                        service=CompileService(cache=CompileCache(),
-                                               max_workers=0))
+                        service=CompileService(cache=CompileCache()))
         assert plain.module(graph).graph is graph
 
     def test_alternate_compiler_and_device(self):
@@ -92,7 +91,7 @@ class TestSession:
         executor must evaluate them in place (BERT at batch 1 is the
         cheapest registry graph that has them)."""
         graph = registry.build_cached("BERT", batch=1)
-        service = CompileService(cache=CompileCache(), max_workers=0)
+        service = CompileService(cache=CompileCache())
         feeds = random_feeds(graph, seed=0)
         got = Session(compiler_cls(), service=service).run(graph, feeds)
         want = evaluate(graph, feeds)
@@ -114,8 +113,7 @@ class TestSessionConcurrency:
                   micro.softmax_graph(32, 8)]
         feeds = [random_feeds(graph, seed=50 + i)
                  for i, graph in enumerate(graphs)]
-        session = Session(service=CompileService(cache=CompileCache(),
-                                                 max_workers=2))
+        session = Session(service=CompileService(cache=CompileCache()))
         plans = session.engine.plan_cache = PlanCache()
         iterations_per_thread = 8
 

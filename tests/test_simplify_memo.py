@@ -6,6 +6,7 @@ does not rewrite.
 """
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -81,13 +82,20 @@ class TestOncePerGraph:
             SIMPLIFY_MEMO.clear()
             serial.append(_capture(compiler.compile_optimized(graph, V100)))
         SIMPLIFY_MEMO.clear()
-        service = CompileService(cache=CompileCache(), max_workers=2)
-        try:
-            futures = [service.submit(graph, compiler, V100, optimize=True)
-                       for compiler in compilers]
-            parallel = [_capture(future.result()) for future in futures]
-        finally:
-            service.shutdown()
+        service = CompileService(cache=CompileCache())
+        parallel = [None] * len(compilers)
+
+        def compile_on_thread(index):
+            module = service.compile(graph, compilers[index], V100,
+                                     optimize=True)
+            parallel[index] = _capture(module)
+
+        threads = [threading.Thread(target=compile_on_thread, args=(i,))
+                   for i in range(len(compilers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         assert parallel == serial
 
     def test_pass_report_says_reused(self):

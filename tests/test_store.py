@@ -17,8 +17,6 @@ from repro.compilers import XLACompiler
 from repro.gpu.spec import V100
 from repro.runtime.compile_cache import (CacheKey, CompileCache,
                                          default_cache, set_default_cache)
-from repro.runtime.compile_service import (CompileService, default_service,
-                                           set_default_service)
 from repro.runtime.engine import EngineConfig
 from repro.runtime.plan import (ExecutionPlan, PlanCache, PlanKey,
                                 default_plan_cache, set_default_plan_cache)
@@ -234,21 +232,6 @@ class TestProcessDefault:
         for name, default in defaults.items():
             assert default.get() is not before[name], name
 
-    def test_reset_shuts_down_the_dropped_service(self, fresh_caches):
-        class Recording(CompileService):
-            closed = False
-
-            def shutdown(self, wait=True):
-                self.closed = wait
-                super().shutdown(wait)
-
-        service = Recording(cache=CompileCache(), max_workers=0)
-        set_default_service(service)
-        assert default_service() is service
-        store.reset_caches()
-        assert service.closed
-        assert default_service() is not service
-
 
 class TestRegistry:
     def test_register_returns_the_memo(self, monkeypatch):
@@ -262,21 +245,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="simplify"):
             store.register("simplify", store.TieredStore())
 
-    def test_reset_clears_defaults_before_memos(self, monkeypatch):
+    def test_reset_clears_defaults_and_memos(self, monkeypatch):
         monkeypatch.setattr(store, "_REGISTRY", {})
-        order = []
+        cleared = []
 
         class Memo:
-            def __init__(self, name):
-                self.name = name
-
             def clear(self):
-                order.append(self.name)
+                cleared.append(self)
 
-        store.register("memo", Memo("memo"))
-        default = store.ProcessDefault("default", lambda: Memo("x"),
-                                       close=lambda m: order.append("close"))
-        default.get()
+        memo = store.register("memo", Memo())
+        default = store.ProcessDefault("default", Memo)
+        instance = default.get()
         store.reset_caches()
-        assert order == ["close", "memo"]
+        assert cleared == [memo]
         assert len(default) == 0
+        assert default.get() is not instance

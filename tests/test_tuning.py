@@ -268,24 +268,3 @@ class TestCompilerIntegration:
         for name, value in want.items():
             np.testing.assert_allclose(got[name], value, rtol=1e-5,
                                        atol=1e-6)
-
-
-class TestRunParallel:
-    def test_run_parallel_preserves_order(self):
-        from repro.runtime.compile_service import CompileService
-        service = CompileService(max_workers=4)
-        try:
-            thunks = [(lambda i=i: i * i) for i in range(16)]
-            assert service.run_parallel(thunks) == [i * i
-                                                   for i in range(16)]
-        finally:
-            service.shutdown()
-
-    def test_run_parallel_inline_when_no_workers(self):
-        import threading
-        from repro.runtime.compile_service import CompileService
-        service = CompileService(max_workers=0)
-        names = []
-        service.run_parallel([lambda: names.append(
-            threading.current_thread().name)])
-        assert names == [threading.main_thread().name]
