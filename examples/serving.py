@@ -50,7 +50,9 @@ def main():
     cache = JitCache(AStitchCompiler(), policy="pow2")
     module = cache.get(bert_factory, {"batch": 64})
     profile = engine.run(module)
-    path = tempfile.mktemp(suffix=".trace.json")
+    with tempfile.NamedTemporaryFile(suffix=".trace.json",
+                                     delete=False) as trace:
+        path = trace.name
     write_chrome_trace(profile, path)
     print(f"\nwrote a chrome://tracing timeline of one request to "
           f"{path}")

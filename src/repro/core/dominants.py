@@ -13,11 +13,27 @@ ops: one candidate (preferring a reduce) becomes the group's final
 dominant, the rest become sub-dominants sharing its propagated schedule —
 which is what makes operator-level data reuse possible (a value consumed
 by two merged groups is loaded once).
+
+The analysis reads shapes in three places only:
+
+* whether a BROADCAST amplifies (a heavy producer feeding one becomes a
+  candidate, and merging does not flow through a candidate's one);
+* whether a CONSTANT is a scalar (scalars do not count as group inputs);
+* :func:`dominant_weight`, when two merged candidates compete.
+
+:func:`~repro.ir.fingerprint.topology_fingerprint` keys the first two,
+so the pipeline reuses analyses (:func:`pack_analyses`) across every
+graph of one topology (``core.passes.TOPOLOGY_MEMO``).  The third is guarded:
+:func:`analyze_scope` records each weight comparison, and a reuse
+re-checks them with :func:`guards_hold`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
+from itertools import accumulate, islice, pairwise
+from typing import Optional, Sequence
 
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
@@ -88,30 +104,51 @@ def dominant_candidates(graph: Graph, scope_nodes: list[Node]) -> list[Node]:
     return candidates
 
 
-def _prefer_dominant(a: Node, b: Node) -> Node:
+def dominant_weight(node: Node) -> int:
+    """The size a merged candidate competes with for the final dominant.
+
+    A reduce weighs its input's element count, any other candidate its
+    own.  This is the one shape read of dominant analysis that the
+    topology fingerprint does not key: :func:`analyze_scope` records
+    every comparison of two weights, and a reuse re-checks them
+    (:func:`guards_hold`).
+    """
+    if node.kind is OpKind.REDUCE:
+        return node.operands[0].num_elements
+    return node.num_elements
+
+
+def _prefer_dominant(a: Node, b: Node,
+                     compared: Optional[list] = None) -> Node:
     """Pick the final dominant of two merged candidates.
 
     Reduces win over non-reduces (their schedule is the expensive one to
     get right); ties break toward the larger input, then the earlier node.
+    Each weight comparison made is appended to ``compared`` as
+    ``(a, b, sign of weight(a) - weight(b))``.
     """
     a_reduce = a.kind is OpKind.REDUCE
     b_reduce = b.kind is OpKind.REDUCE
-
-    def weight(n: Node) -> int:
-        if n.kind is OpKind.REDUCE:
-            return n.operands[0].num_elements
-        return n.num_elements
-
     if a_reduce != b_reduce:
         return a if a_reduce else b
-    if weight(a) != weight(b):
-        return a if weight(a) > weight(b) else b
+    weight_a, weight_b = dominant_weight(a), dominant_weight(b)
+    sign = (weight_a > weight_b) - (weight_a < weight_b)
+    if compared is not None:
+        compared.append((a, b, sign))
+    if sign:
+        return a if sign > 0 else b
     return a if a.node_id < b.node_id else b
 
 
 def analyze_scope(graph: Graph, scope_nodes: list[Node],
-                  dominant_merging: bool = True) -> ScopeAnalysis:
-    """Run dominant identification + grouping for one stitch scope."""
+                  dominant_merging: bool = True,
+                  compared: Optional[list] = None) -> ScopeAnalysis:
+    """Run dominant identification + grouping for one stitch scope.
+
+    Args:
+        compared: Collects every dominant-weight comparison made (see
+            :func:`_prefer_dominant`), the guards of a reused analysis.
+    """
     scope_set = set(scope_nodes)
     candidates = dominant_candidates(graph, scope_nodes)
     candidate_set = set(candidates)
@@ -194,7 +231,7 @@ def analyze_scope(graph: Graph, scope_nodes: list[Node],
     for members in classes.values():
         dominant = members[0]
         for other in members[1:]:
-            dominant = _prefer_dominant(dominant, other)
+            dominant = _prefer_dominant(dominant, other, compared)
         subs = tuple(sorted((m for m in members if m is not dominant),
                             key=lambda n: n.node_id))
         gid = len(group_infos)
@@ -335,3 +372,96 @@ def _group_stages(graph: Graph, scope_set: set[Node],
         if not changed:
             break
     return level
+
+
+# -- reuse across shapes -------------------------------------------------------
+
+
+def pack_analyses(analyses: list[ScopeAnalysis], position: dict[Node, int],
+                  ) -> tuple[array, array, array]:
+    """``analyses`` with every node written as its position
+    (``position``: node -> index in ``graph.nodes``).
+
+    Returns three flat int arrays, whatever the number of scopes and
+    groups: the positions of every node sequence back to back, each
+    sequence's length, and every other value in write order (a mapping's
+    values follow its keys' sequence, one per key).  Duplication factors
+    are group counts, so they are stored as ints.
+    :func:`unpack_analyses` reads them back onto the nodes of any graph
+    with the same topology fingerprint.
+    """
+    positions, lengths, values = array("i"), array("i"), array("i")
+
+    def write_nodes(nodes) -> None:
+        lengths.append(len(nodes))
+        positions.extend([position[node] for node in nodes])
+
+    for analysis in analyses:
+        write_nodes([group.dominant for group in analysis.groups])
+        for group in analysis.groups:
+            write_nodes(group.sub_dominants)
+            write_nodes(group.nodes)
+        for mapping in (analysis.group_of, analysis.duplication,
+                        analysis.input_read_groups):
+            write_nodes(mapping)
+            values.extend([int(value) for value in mapping.values()])
+        write_nodes(analysis.cross_group_values)
+        values.extend(analysis.group_stage.values())  # keys 0, 1, ...
+        values.append(analysis.stages)
+    return positions, lengths, values
+
+
+def unpack_analyses(packed: tuple[array, array, array],
+                    nodes: Sequence[Node]) -> list[ScopeAnalysis]:
+    """The analyses :func:`pack_analyses` packed, on ``nodes`` (a
+    graph's ``nodes``).  Every list and dict keeps its order: group ids,
+    kernel names and step order follow them."""
+    positions, lengths, values = packed
+    mapped = [nodes[i] for i in positions]
+    sequences = iter([mapped[start:end] for start, end
+                      in pairwise(accumulate(lengths, initial=0))])
+    values = iter(values)
+
+    def mapping(keys: list[Node]) -> dict:
+        return dict(zip(keys, islice(values, len(keys))))
+
+    analyses = []
+    for dominants in sequences:  # each analysis starts with its dominants
+        groups = [GroupInfo(gid, dominant, tuple(next(sequences)),
+                            next(sequences))
+                  for gid, dominant in enumerate(dominants)]
+        group_of = mapping(next(sequences))
+        duplication = {node: float(count) for node, count
+                       in mapping(next(sequences)).items()}
+        input_read_groups = mapping(next(sequences))
+        cross_group_values = next(sequences)
+        analyses.append(ScopeAnalysis(
+            groups=groups,
+            group_of=group_of,
+            duplication=duplication,
+            input_read_groups=input_read_groups,
+            cross_group_values=cross_group_values,
+            group_stage=dict(enumerate(islice(values, len(groups)))),
+            stages=next(values)))
+    return analyses
+
+
+def pack_guards(compared: list, position: dict[Node, int]) -> array:
+    """The comparisons ``analyze_scope`` collected, as flat
+    ``(position a, position b, sign)`` triples."""
+    guards = array("i")
+    for a, b, sign in compared:
+        guards.extend((position[a], position[b], sign))
+    return guards
+
+
+def guards_hold(guards: array, nodes: Sequence[Node]) -> bool:
+    """Whether every recorded dominant-weight comparison comes out the
+    same on ``nodes``: then a reused analysis picks the same dominants
+    as a fresh one."""
+    for i in range(0, len(guards), 3):
+        a = dominant_weight(nodes[guards[i]])
+        b = dominant_weight(nodes[guards[i + 1]])
+        if (a > b) - (a < b) != guards[i + 2]:
+            return False
+    return True

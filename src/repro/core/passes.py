@@ -29,6 +29,10 @@ tuning pass prices candidate launches through exactly the same functions
 the later passes run, so the chosen variant lowers to identical kernels
 by construction.
 
+Phases 1 and 2 do not depend on dims, so their results are memoized by
+topology fingerprint (:data:`TOPOLOGY_MEMO`): every later batch size of
+a workload rebinds them, and only phases 3-7 run per shape.
+
 :func:`adaptive_mapping_factory` is the ``ATM`` ablation's mapping
 rule: the shared kernel-formation pass applies it on XLA's fusion
 scopes, no stitching.
@@ -38,6 +42,8 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from array import array
+from itertools import islice
 from typing import Any, Optional
 
 from repro.codegen.builder import make_kernel
@@ -47,21 +53,26 @@ from repro.codegen.schedule import ThreadMapping
 from repro.compilers.common import MappingFn, xla_fusion_roots
 from repro.core.adaptive import UnifiedLaunch, unify_launch
 from repro.core.config import AStitchConfig
-from repro.core.dominants import ScopeAnalysis, analyze_scope
+from repro.core.dominants import (ScopeAnalysis, analyze_scope,
+                                  guards_hold, pack_analyses, pack_guards,
+                                  unpack_analyses)
 from repro.core.launch import configure_launch
 from repro.core.locality import assign_schemes
 from repro.core.memplan import plan_memory
 from repro.core.schemes import StitchScheme
 from repro.core.scope import StitchScope, identify_stitch_scopes
 from repro.gpu.spec import GPUSpec
+from repro.ir.fingerprint import topology_fingerprint
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pass
 from repro.pipeline.lowering import FusionKernelFormationPass
-from repro.store import register
+from repro.store import TieredStore, register
 
 # The scratch slot the AStitch passes share.
 SCRATCH_KEY = "astitch"
+# The scratch slot phase 1 leaves phase 2: its topology key and entry.
+TOPOLOGY_SLOT = "astitch-topology"
 
 
 @dataclasses.dataclass
@@ -404,11 +415,71 @@ def same_launch(left: UnifiedLaunch, right: UnifiedLaunch) -> bool:
             and left.block_size == right.block_size)
 
 
+# -- phases 1-2 per topology -----------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class TopologyEntry:
+    """Phases 1 and 2 of one topology, each node written as its position
+    in ``graph.nodes``, in flat int arrays: one object per field, not
+    per scope or group, so a 2000-scope graph takes about 0.6 MB.
+
+    Attributes:
+        scopes: Each scope's length, then its node positions, in scope
+            order; a scope's id is its index.
+        analyses: The scopes' analyses, in scope order
+            (:func:`~repro.core.dominants.pack_analyses`).
+        guards: The dominant-weight comparisons phase 2 made
+            (:func:`~repro.core.dominants.pack_guards`).
+    """
+
+    scopes: array
+    analyses: tuple[array, array, array]
+    guards: array
+
+    @classmethod
+    def pack(cls, graph: Graph, works: list[ScopeWork],
+             compared: list) -> "TopologyEntry":
+        """The entry for ``works`` after phase 2 ran on ``graph``."""
+        position = {node: i for i, node in enumerate(graph.nodes)}
+        scopes = array("i")
+        for work in works:
+            scopes.append(len(work.scope.nodes))
+            scopes.extend([position[node] for node in work.scope.nodes])
+        return cls(scopes,
+                   pack_analyses([work.analysis for work in works], position),
+                   pack_guards(compared, position))
+
+    def stitch_scopes(self, nodes: tuple[Node, ...]) -> list[StitchScope]:
+        """The stored scopes on ``nodes`` (a graph's ``nodes``)."""
+        ints, scopes = iter(self.scopes), []
+        for length in ints:
+            scopes.append(StitchScope(
+                len(scopes), [nodes[i] for i in islice(ints, length)]))
+        return scopes
+
+
+# Phases 1-2 by (topology fingerprint, remote_stitching,
+# dominant_merging).  Neither phase reads dims beyond what the topology
+# fingerprint keys, except the dominant weights the guards re-check, so
+# every batch size of a workload shares one entry.  Memory-only.
+TOPOLOGY_MEMO: TieredStore = register("topology-analyses", TieredStore())
+
+
+def _topology_key(graph: Graph, cfg: AStitchConfig) -> tuple:
+    return (topology_fingerprint(graph), cfg.remote_stitching,
+            cfg.dominant_merging)
+
+
 # -- the passes ------------------------------------------------------------------
 
 
 class StitchScopeIdentificationPass(Pass):
-    """Phase 1: identify the stitching scopes (Sec 4.1)."""
+    """Phase 1: identify the stitching scopes (Sec 4.1).
+
+    A graph whose topology is in :data:`TOPOLOGY_MEMO` rebinds the
+    stored scopes; the entry then serves phase 2 as well.
+    """
 
     name = "stitch-scope-id"
     kind = "lower"
@@ -420,15 +491,27 @@ class StitchScopeIdentificationPass(Pass):
         return f"remote={int(self.config.remote_stitching)}"
 
     def run(self, state: CompileState) -> dict[str, Any]:
-        scopes = identify_stitch_scopes(
-            state.graph, remote_stitching=self.config.remote_stitching)
+        nodes = state.graph.nodes
+        key = _topology_key(state.graph, self.config)
+        entry = TOPOLOGY_MEMO.get(
+            key, fresh=lambda stored: guards_hold(stored.guards, nodes))
+        if entry is None:
+            scopes = identify_stitch_scopes(
+                state.graph, remote_stitching=self.config.remote_stitching)
+        else:
+            scopes = entry.stitch_scopes(nodes)
         state.scratch[SCRATCH_KEY] = [ScopeWork(scope=s) for s in scopes]
+        state.scratch[TOPOLOGY_SLOT] = (key, entry)
         return {"scopes": len(scopes),
                 "nodes": sum(len(s.nodes) for s in scopes)}
 
 
 class DominantAnalysisPass(Pass):
-    """Phase 2: dominant identification, merging, op grouping (Sec 4.3)."""
+    """Phase 2: dominant identification, merging, op grouping (Sec 4.3).
+
+    Rebinds phase 1's memo entry when there was one; otherwise analyses
+    every scope and stores the entry for the topology.
+    """
 
     name = "dominant-analysis"
     kind = "lower"
@@ -440,14 +523,26 @@ class DominantAnalysisPass(Pass):
         return f"merging={int(self.config.dominant_merging)}"
 
     def run(self, state: CompileState) -> dict[str, Any]:
-        groups = stages = 0
-        for work in scope_works(state):
-            work.analysis = analyze_scope(
-                state.graph, work.scope.nodes,
-                dominant_merging=self.config.dominant_merging)
-            groups += len(work.analysis.groups)
-            stages += work.analysis.stages
-        return {"groups": groups, "stages": stages}
+        works = scope_works(state)
+        key, entry = state.scratch.pop(TOPOLOGY_SLOT, (None, None))
+        if key != _topology_key(state.graph, self.config):
+            key = entry = None  # phase 1 ran under another config
+        if entry is not None:
+            analyses = unpack_analyses(entry.analyses, state.graph.nodes)
+            for work, analysis in zip(works, analyses):
+                work.analysis = analysis
+        else:
+            compared: list = []
+            for work in works:
+                work.analysis = analyze_scope(
+                    state.graph, work.scope.nodes,
+                    dominant_merging=self.config.dominant_merging,
+                    compared=compared)
+            if key is not None:
+                TOPOLOGY_MEMO.put(key, TopologyEntry.pack(
+                    state.graph, works, compared))
+        return {"groups": sum(len(w.analysis.groups) for w in works),
+                "stages": sum(w.analysis.stages for w in works)}
 
 
 class SchedulePropagationPass(Pass):

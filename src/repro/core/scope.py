@@ -8,6 +8,12 @@ into one kernel.  Scope identification has two steps:
 2. *remote stitching* merges stitch ops that have no data dependency on
    each other — even subgraphs separated by compute-intensive operators —
    into one larger stitch op, as long as no cyclic dependence arises.
+
+Neither step reads a shape: scopes depend on operator kinds and edges
+only.  So the result, written as node positions, is the same for every
+batch size of a workload, and the pipeline memoizes it by topology
+fingerprint together with dominant analysis (see
+:mod:`repro.core.dominants` and ``core.passes.TOPOLOGY_MEMO``).
 """
 
 from __future__ import annotations

@@ -18,6 +18,12 @@ Deliberately excluded from the hash:
   execution interface (`execute` feeds/fetches by name);
 * the graph's display ``name`` (a CRNN by any other name compiles the
   same).
+
+The same walk also yields a *topology* fingerprint
+(:func:`topology_fingerprint`): the same hash with each node's dims
+replaced by its rank and two shape predicates.  It is equal across the
+batch sizes of one workload, and keys the AStitch phases that do not
+depend on them (``repro.core.passes.TOPOLOGY_MEMO``).
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import weakref
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.ir.dtypes import DType
-from repro.ir.graph import Graph, Node
+from repro.ir.graph import Graph
 from repro.ir.ops import OpKind
 from repro.ir.shape import Shape
 from repro.store import register
@@ -39,12 +45,13 @@ from repro.store import register
 # entries (keyed by fingerprints of the old scheme) from being served.
 FINGERPRINT_VERSION = 1
 
-# Memo of already-hashed graphs.  Graphs are append-only (``Graph.add`` /
+# Memo of already-hashed graphs: (node count, output count, fingerprint,
+# topology fingerprint).  Graphs are append-only (``Graph.add`` /
 # ``mark_output``), so (node count, output count) is a sufficient
 # staleness guard; a graph mutated any other way is outside the IR's
 # contract.
-_MEMO: "weakref.WeakKeyDictionary[Graph, tuple[int, int, str]]" = register(
-    "fingerprints", weakref.WeakKeyDictionary())
+_MEMO: "weakref.WeakKeyDictionary[Graph, tuple[int, int, str, str]]" = \
+    register("fingerprints", weakref.WeakKeyDictionary())
 
 
 def canonical_attr(value: Any) -> str:
@@ -87,28 +94,81 @@ def canonical_attr(value: Any) -> str:
     return f"r:{type(value).__name__}:{value!r}"
 
 
-def _encode_node(node: Node, index_of: dict[int, int]) -> str:
-    """One line of the canonical form: kind, type, operands, attrs."""
-    operands = ",".join(str(index_of[id(op)]) for op in node.operands)
-    attrs = ";".join(f"{key}={canonical_attr(val)}"
-                     for key, val in sorted(node.attrs.items()))
-    interface = node.name if node.kind is OpKind.PARAMETER else ""
-    dims = ",".join(str(d) for d in node.shape.dims)
-    return (f"{node.kind.value}|{interface}|<{dims}>|{node.dtype.name}"
-            f"|({operands})|{attrs}")
+# Kind names by kind: ``OpKind.value`` is an enum descriptor lookup,
+# measurably slower than a dict hit on the per-node path.
+_KIND_NAMES = {kind: kind.value for kind in OpKind}
+
+
+# Nodes per chunk of text the digests consume: the walk never holds a
+# whole canonical form (a 33k-node graph's is 1.4 MB, times two).
+_CHUNK = 4096
+
+
+def _canonical_chunks(graph: Graph) -> Iterator[tuple[str, str]]:
+    """Both canonical forms of ``graph``, in one walk, as consecutive
+    ``(full, topology)`` chunks of text.
+
+    The full form has one line per node (kind, interface, dims, dtype,
+    operands, attrs) and hashes to the fingerprint.  The topology form
+    replaces each node's dims with its rank plus the two shape
+    predicates stitch-scope identification and dominant analysis read:
+    whether a BROADCAST amplifies (``+``: more elements than its
+    operand) and whether a CONSTANT is a scalar (``s``: one element).
+    """
+    nodes = graph.topological_order()
+    index_of = {node: str(i) for i, node in enumerate(nodes)}
+    full = [f"repro-graph-fingerprint-v{FINGERPRINT_VERSION}"]
+    topology = [f"repro-topology-fingerprint-v{FINGERPRINT_VERSION}"]
+    for node in nodes:
+        kind = node.kind
+        shape = node.shape
+        dims = shape.dims
+        attrs = node.attrs
+        head = (f"{_KIND_NAMES[kind]}|"
+                f"{node.name if kind is OpKind.PARAMETER else ''}|")
+        tail = (f"|{node.dtype.name}"
+                f"|({','.join([index_of[op] for op in node.operands])})|"
+                + (";".join([f"{key}={canonical_attr(attrs[key])}"
+                             for key in sorted(attrs)]) if attrs else ""))
+        full.append(f"{head}<{','.join(map(str, dims))}>{tail}")
+        if kind is OpKind.BROADCAST and shape.num_elements \
+                > node.operands[0].shape.num_elements:
+            predicate = "+"
+        elif kind is OpKind.CONSTANT and shape.num_elements == 1:
+            predicate = "s"
+        else:
+            predicate = ""
+        topology.append(f"{head}<r{len(dims)}{predicate}>{tail}")
+        if len(full) == _CHUNK:
+            yield "\n".join(full) + "\n", "\n".join(topology) + "\n"
+            full.clear()
+            topology.clear()
+    outputs = "outputs|" + ",".join([f"{index_of[out]}:{out.name}"
+                                     for out in graph.outputs])
+    full.append(outputs)
+    topology.append(outputs)
+    yield "\n".join(full), "\n".join(topology)
 
 
 def canonical_form(graph: Graph) -> str:
     """The exact byte string the fingerprint hashes (for debugging)."""
-    index_of = {id(node): i for i, node in
-                enumerate(graph.topological_order())}
-    lines = [f"repro-graph-fingerprint-v{FINGERPRINT_VERSION}"]
-    lines.extend(_encode_node(node, index_of)
-                 for node in graph.topological_order())
-    outputs = ",".join(f"{index_of[id(out)]}:{out.name}"
-                       for out in graph.outputs)
-    lines.append(f"outputs|{outputs}")
-    return "\n".join(lines)
+    return "".join(full for full, _ in _canonical_chunks(graph))
+
+
+def _digests(graph: Graph) -> tuple[int, int, str, str]:
+    """The memo entry of ``graph``: staleness signature, fingerprint and
+    topology fingerprint (both digests come from one walk)."""
+    cached = _MEMO.get(graph)
+    signature = (len(graph), len(graph.outputs))
+    if cached is not None and cached[:2] == signature:
+        return cached
+    full, topology = hashlib.sha256(), hashlib.sha256()
+    for full_text, topology_text in _canonical_chunks(graph):
+        full.update(full_text.encode("utf-8"))
+        topology.update(topology_text.encode("utf-8"))
+    entry = (*signature, full.hexdigest(), topology.hexdigest())
+    _MEMO[graph] = entry
+    return entry
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -118,14 +178,20 @@ def graph_fingerprint(graph: Graph) -> str:
     counts), so pricing loops that re-fingerprint the same graph on
     every request pay the O(nodes) walk only once.
     """
-    cached = _MEMO.get(graph)
-    signature = (len(graph), len(graph.outputs))
-    if cached is not None and cached[:2] == signature:
-        return cached[2]
-    digest = hashlib.sha256(
-        canonical_form(graph).encode("utf-8")).hexdigest()
-    _MEMO[graph] = (*signature, digest)
-    return digest
+    return _digests(graph)[2]
+
+
+def topology_fingerprint(graph: Graph) -> str:
+    """Shape-erased content hash of ``graph``.
+
+    Equal for two graphs that differ only in dims, as long as every
+    node keeps its rank, every BROADCAST keeps whether it amplifies and
+    every CONSTANT keeps whether it is a scalar: then stitch-scope
+    identification and dominant analysis give the same result, in node
+    positions, for both (see :mod:`repro.core.dominants`).  Computed and
+    memoized together with :func:`graph_fingerprint`.
+    """
+    return _digests(graph)[3]
 
 
 def fingerprints_equal(left: Graph, right: Graph) -> bool:

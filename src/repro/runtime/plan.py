@@ -33,10 +33,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 
 from repro.codegen.builder import kernel_cost_inputs
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
 from repro.compilers.base import CompiledModule
+from repro.gpu.costmodel import KernelCostInputs
 from repro.gpu.counters import PerfCounters, aggregate
 from repro.gpu.spec import GPUSpec
 from repro.ir.fingerprint import graph_fingerprint
@@ -46,6 +48,12 @@ from repro.store import ProcessDefault, TieredStore
 # Bump on any change to the plan payload, the signature encoding or the
 # key composition; invalidates every persisted plan at once.
 PLAN_FORMAT_VERSION = 2
+
+# A kernel's cost inputs as a field tuple.  ``KernelCostInputs`` is flat,
+# so this reprs exactly like ``dataclasses.astuple``, which deep-copies
+# every field.
+_cost_fields = operator.attrgetter(
+    *(field.name for field in dataclasses.fields(KernelCostInputs)))
 
 # In-memory entry bound: a plan is a few KB of floats per step; even the
 # 8k-step Transformer plans keep hundreds of entries comfortable.
@@ -141,7 +149,7 @@ def module_pricing_signature(module: CompiledModule) -> str:
         f"|{getattr(module, 'codegen_tag', '')}".encode("utf-8"))
     for step in module.steps:
         if isinstance(step, Kernel):
-            entry = ("k", dataclasses.astuple(kernel_cost_inputs(step)))
+            entry = ("k", _cost_fields(kernel_cost_inputs(step)))
         elif isinstance(step, LibraryCall):
             entry = ("l", step.flops(), step.bytes_moved())
         elif isinstance(step, MemcpyCall):

@@ -110,8 +110,8 @@ class TieredStore(Generic[K, V]):
     configured store is a subclass that sets the class attributes
     below; the bare class is a memory-only LRU.
 
-    Thread-safe: compile-service workers and serving threads share the
-    process-wide stores.
+    Thread-safe: concurrent caller threads (a shared ``Session``,
+    serving threads) share the process-wide stores.
 
     Args:
         capacity: In-memory entry bound (``default_capacity`` when

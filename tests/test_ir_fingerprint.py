@@ -1,10 +1,13 @@
 """Tests for structural graph fingerprinting."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.ir import F16, GraphBuilder, graph_fingerprint
 from repro.ir.fingerprint import canonical_attr, canonical_form, \
-    fingerprints_equal
+    fingerprints_equal, topology_fingerprint
 from repro.ir.ops import ReduceKind
 from repro.workloads import WORKLOADS, build, micro
 
@@ -134,7 +137,64 @@ class TestSensitivity:
         assert not fingerprints_equal(b1.build(), b2.build())
 
 
+class TestTopology:
+    """The shape-erased fingerprint: blind to dims, sensitive to
+    everything else, including the two shape predicates it keeps."""
+
+    @staticmethod
+    def _spread(rows: int, cols: int, axes=(1,), wire_to_exp=True):
+        b = GraphBuilder("spread")
+        x = b.parameter("x", (rows, cols))
+        heavy = b.exp(x)
+        total = b.reduce_sum(heavy if wire_to_exp else x, axes=axes)
+        b.output(b.add(heavy, b.broadcast_rows(total, (rows, cols))))
+        return b.build()
+
+    @staticmethod
+    def _scaled(size: int):
+        b = GraphBuilder("scaled")
+        x = b.parameter("x", (size,))
+        b.output(b.multiply(x, b.constant(1.0, (size,))))
+        return b.build()
+
+    def test_dims_are_erased(self):
+        small, large = self._spread(4, 8), self._spread(6, 10)
+        assert not fingerprints_equal(small, large)
+        assert topology_fingerprint(small) == topology_fingerprint(large)
+
+    def test_amplification_flip_changes_hash(self):
+        # <4> -> <4,1> no longer amplifies.
+        assert topology_fingerprint(self._spread(4, 8)) \
+            != topology_fingerprint(self._spread(4, 1))
+
+    def test_scalar_constant_flip_changes_hash(self):
+        assert topology_fingerprint(self._scaled(2)) \
+            == topology_fingerprint(self._scaled(3))
+        assert topology_fingerprint(self._scaled(1)) \
+            != topology_fingerprint(self._scaled(2))
+
+    def test_attr_changes_hash(self):
+        assert topology_fingerprint(self._spread(4, 4, axes=(1,))) \
+            != topology_fingerprint(self._spread(4, 4, axes=(0,)))
+
+    def test_edge_changes_hash(self):
+        assert topology_fingerprint(self._spread(4, 8)) \
+            != topology_fingerprint(self._spread(4, 8, wire_to_exp=False))
+
+    def test_memoized_with_the_fingerprint(self):
+        graph = self._spread(4, 8)
+        first = topology_fingerprint(graph)
+        graph_fingerprint(graph)
+        assert topology_fingerprint(graph) == first
+
+
 class TestCanonicalEncoding:
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_fingerprint_hashes_canonical_form(self, workload):
+        graph = build(workload)
+        assert graph_fingerprint(graph) == hashlib.sha256(
+            canonical_form(graph).encode("utf-8")).hexdigest()
+
     def test_canonical_form_is_readable(self):
         text = canonical_form(_golden_graph())
         assert text.startswith("repro-graph-fingerprint-v")
