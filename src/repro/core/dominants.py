@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 from repro.ir.graph import Graph, Node
@@ -380,7 +380,8 @@ def _group_stages(graph: Graph, scope_set: set[Node],
 def pack_analyses(analyses: list[ScopeAnalysis], position: dict[Node, int],
                   ) -> tuple[array, array, array]:
     """``analyses`` with every node written as its position
-    (``position``: node -> index in ``graph.nodes``).
+    (``position``: node -> index in ``graph.nodes``, or any other
+    int per node, such as the scope-local refs of a scope class key).
 
     Returns three flat int arrays, whatever the number of scopes and
     groups: the positions of every node sequence back to back, each
@@ -418,8 +419,9 @@ def unpack_analyses(packed: tuple[array, array, array],
     kernel names and step order follow them."""
     positions, lengths, values = packed
     mapped = [nodes[i] for i in positions]
+    offsets = list(accumulate(lengths, initial=0))
     sequences = iter([mapped[start:end] for start, end
-                      in pairwise(accumulate(lengths, initial=0))])
+                      in zip(offsets, offsets[1:])])
     values = iter(values)
 
     def mapping(keys: list[Node]) -> dict:

@@ -31,7 +31,12 @@ by construction.
 
 Phases 1 and 2 do not depend on dims, so their results are memoized by
 topology fingerprint (:data:`TOPOLOGY_MEMO`): every later batch size of
-a workload rebinds them, and only phases 3-7 run per shape.
+a workload rebinds them.  Phases 3-7 run once per scope class: phase 2
+gives each scope a dims-free class id (:func:`scope_class`), phase 3
+keys each scope by its class id plus its dims, and only the first scope
+of each key (its representative) is lowered; phase 7 rebinds the
+representative's kernels onto every other scope of the class
+(:func:`rebind_kernel`).
 
 :func:`adaptive_mapping_factory` is the ``ATM`` ablation's mapping
 rule: the shared kernel-formation pass applies it on XLA's fusion
@@ -41,12 +46,11 @@ scopes, no stitching.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from array import array
 from itertools import islice
 from typing import Any, Optional
 
-from repro.codegen.builder import make_kernel
+from repro.codegen.builder import kernel_cost_inputs, make_kernel
 from repro.codegen.kernel import Kernel
 from repro.codegen import mapping as mappings
 from repro.codegen.schedule import ThreadMapping
@@ -62,7 +66,7 @@ from repro.core.memplan import plan_memory
 from repro.core.schemes import StitchScheme
 from repro.core.scope import StitchScope, identify_stitch_scopes
 from repro.gpu.spec import GPUSpec
-from repro.ir.fingerprint import topology_fingerprint
+from repro.ir.fingerprint import canonical_attr, topology_fingerprint
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pass
@@ -91,6 +95,12 @@ class ScopeWork:
             schedule-group component instead of one stitched kernel.
         plan: Stitch-mode memory plan (phase 6).
         components: Per-group-mode component plans (phase 6).
+        class_id: Dims-free scope class (phase 2, :func:`scope_class`).
+        externals: Operands from outside the scope, in first-use order
+            (phase 2).
+        representative: The scope whose lowering this one rebinds, or
+            ``None`` when it is lowered itself (phase 3).
+        rebound: On a representative, how many scopes rebind it.
     """
 
     scope: StitchScope
@@ -101,6 +111,10 @@ class ScopeWork:
     per_group: bool = False
     plan: Any = None
     components: Optional[list["ComponentPlan"]] = None
+    class_id: int = 0
+    externals: list[Node] = dataclasses.field(default_factory=list)
+    representative: Optional["ScopeWork"] = None
+    rebound: int = 0
 
 
 def scope_works(state: CompileState) -> list[ScopeWork]:
@@ -111,6 +125,12 @@ def scope_works(state: CompileState) -> list[ScopeWork]:
         raise KeyError(
             "no AStitch scope work in compile state — did "
             "stitch-scope-id run?") from None
+
+
+def representatives(state: CompileState) -> list[ScopeWork]:
+    """The scopes phases 4-7 lower: one per scope class (phase 3)."""
+    return [work for work in scope_works(state)
+            if work.representative is None]
 
 
 # -- lowering steps (shared by the passes and the tuning comparator) -----------
@@ -340,16 +360,35 @@ def lower_scope(graph: Graph, scope: StitchScope, spec: GPUSpec,
                                launch_cfg)]
 
 
+def rebind_kernel(kernel: Kernel, to: dict[Node, Node], name: str) -> Kernel:
+    """``kernel``, lowered on a representative scope, on another scope of
+    its class: every node mapped through ``to`` (the representative's
+    scope nodes and external operands to the other scope's, by
+    position), every other field copied.
+
+    The rebound kernel shares the representative's cost inputs: they
+    read dims, kinds and decisions only, all of which the class fixes.
+    """
+    def mapped(nodes):
+        return tuple([to[node] for node in nodes])
+
+    def rekeyed(values):
+        return {to[node]: value for node, value in values.items()}
+
+    rebound = dataclasses.replace(
+        kernel, name=name, nodes=mapped(kernel.nodes),
+        inputs=mapped(kernel.inputs), outputs=mapped(kernel.outputs),
+        placements=rekeyed(kernel.placements),
+        redundancy=rekeyed(kernel.redundancy),
+        input_read_factors=rekeyed(kernel.input_read_factors))
+    rebound._cost_inputs = kernel_cost_inputs(kernel)
+    return rebound
+
+
 # -- tuning ----------------------------------------------------------------------
 
 
-# Group signatures per graph, so a warm recompile skips the traffic scan.
-# No stored node references its graph: a dropped graph drops its entries.
-_SIGNATURES: "weakref.WeakKeyDictionary[Graph, dict]" = register(
-    "tuning-signatures", weakref.WeakKeyDictionary())
-
-
-def tuned_launch_for(graph: Graph, analysis: ScopeAnalysis, spec: GPUSpec,
+def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
                      needs_barrier: bool, cfg: AStitchConfig):
     """Autotune the scope's groups and unify the winning mappings.
 
@@ -359,16 +398,8 @@ def tuned_launch_for(graph: Graph, analysis: ScopeAnalysis, spec: GPUSpec,
     """
     from repro.tuning import GroupTuner, signature_for_group
     tuner = GroupTuner(spec)
-    memo = _SIGNATURES.setdefault(graph, {})
-    sigs = []
-    for group in analysis.groups:
-        key = (group.dominant, tuple(group.nodes), group.sub_dominants,
-               needs_barrier, cfg.max_block_size)
-        sig = memo.get(key)
-        if sig is None:
-            sig = memo[key] = signature_for_group(group, needs_barrier,
-                                                  cfg.max_block_size)
-        sigs.append(sig)
+    sigs = [signature_for_group(group, needs_barrier, cfg.max_block_size)
+            for group in analysis.groups]
     decisions = tuner.tune_signatures(sigs, config_tag=cfg.tuning_tag())
     if all(decision.mapping == decision.heuristic_mapping
            for decision in decisions):
@@ -391,7 +422,6 @@ def scope_cost(kernels: list[Kernel], spec: GPUSpec) -> float:
     staging is identical for every variant, so it cancels out of the
     comparison and is not priced here).
     """
-    from repro.codegen.builder import kernel_cost_inputs
     from repro.compilers.base import kernel_memcpys
     from repro.gpu.costmodel import cost_model_for
     from repro.runtime import engine
@@ -418,6 +448,72 @@ def same_launch(left: UnifiedLaunch, right: UnifiedLaunch) -> bool:
 # -- phases 1-2 per topology -----------------------------------------------------
 
 
+def scope_class(graph: Graph, scope: StitchScope, analysis: ScopeAnalysis,
+                outputs: set[Node]) -> tuple[tuple, list[Node]]:
+    """The dims-free class key of one analysed scope, and the scope's
+    external operands in first-use order.
+
+    The key holds everything phases 3-7 read from a scope except dims:
+    per node in scope order its kind, dtype, rank, attrs, operand refs
+    (a scope-local index, or ``-1 - n`` for external operand ``n``) and
+    whether it has a user outside the scope, is a graph output and has
+    any user; then the node-id order within the scope, the analysis in
+    the same refs, and per external operand its dtype, its rank and
+    whether it is a scalar CONSTANT.  Two scopes with equal keys and
+    equal dims lower to the same kernels, node for node by position.
+    All of it is fixed by the topology fingerprint, so the key holds
+    for every graph of the topology.
+    """
+    local = {node: i for i, node in enumerate(scope.nodes)}
+    refs = dict(local)
+    externals: list[Node] = []
+    rows = []
+    for node in scope.nodes:
+        operands = []
+        for operand in node.operands:
+            ref = refs.get(operand)
+            if ref is None:
+                ref = refs[operand] = -1 - len(externals)
+                externals.append(operand)
+            operands.append(ref)
+        users = graph.users(node)
+        attrs = node.attrs
+        rows.append((
+            node.kind, node.dtype.name, node.shape.rank,
+            tuple([(key, canonical_attr(attrs[key]))
+                   for key in sorted(attrs)]),
+            tuple(operands),
+            any(user not in local for user in users),
+            node in outputs,
+            bool(users)))
+    order = tuple(sorted(range(len(scope.nodes)),
+                         key=lambda i: scope.nodes[i].node_id))
+    packed = tuple(ints.tobytes()
+                   for ints in pack_analyses([analysis], refs))
+    operands = tuple((op.dtype.name, op.shape.rank,
+                      op.kind is OpKind.CONSTANT and op.num_elements == 1)
+                     for op in externals)
+    return (tuple(rows), order, packed, operands), externals
+
+
+def _pack_sequences(sequences, position: dict[Node, int]) -> array:
+    """Node sequences as one flat array: each length, then positions."""
+    ints = array("i")
+    for nodes in sequences:
+        ints.append(len(nodes))
+        ints.extend([position[node] for node in nodes])
+    return ints
+
+
+def _unpack_sequences(ints: array, nodes: tuple[Node, ...],
+                      ) -> list[list[Node]]:
+    """The sequences :func:`_pack_sequences` packed, on ``nodes``."""
+    ints, sequences = iter(ints), []
+    for length in ints:
+        sequences.append([nodes[i] for i in islice(ints, length)])
+    return sequences
+
+
 @dataclasses.dataclass(frozen=True)
 class TopologyEntry:
     """Phases 1 and 2 of one topology, each node written as its position
@@ -431,32 +527,43 @@ class TopologyEntry:
             (:func:`~repro.core.dominants.pack_analyses`).
         guards: The dominant-weight comparisons phase 2 made
             (:func:`~repro.core.dominants.pack_guards`).
+        classes: Each scope's class id (:func:`scope_class`).
+        externals: Each scope's external operand count, then their
+            positions in first-use order.
     """
 
     scopes: array
     analyses: tuple[array, array, array]
     guards: array
+    classes: array
+    externals: array
 
     @classmethod
     def pack(cls, graph: Graph, works: list[ScopeWork],
              compared: list) -> "TopologyEntry":
         """The entry for ``works`` after phase 2 ran on ``graph``."""
         position = {node: i for i, node in enumerate(graph.nodes)}
-        scopes = array("i")
-        for work in works:
-            scopes.append(len(work.scope.nodes))
-            scopes.extend([position[node] for node in work.scope.nodes])
-        return cls(scopes,
-                   pack_analyses([work.analysis for work in works], position),
-                   pack_guards(compared, position))
+        return cls(_pack_sequences([w.scope.nodes for w in works], position),
+                   pack_analyses([w.analysis for w in works], position),
+                   pack_guards(compared, position),
+                   array("i", [w.class_id for w in works]),
+                   _pack_sequences([w.externals for w in works], position))
 
     def stitch_scopes(self, nodes: tuple[Node, ...]) -> list[StitchScope]:
         """The stored scopes on ``nodes`` (a graph's ``nodes``)."""
-        ints, scopes = iter(self.scopes), []
-        for length in ints:
-            scopes.append(StitchScope(
-                len(scopes), [nodes[i] for i in islice(ints, length)]))
-        return scopes
+        return [StitchScope(scope_id, scope_nodes) for scope_id, scope_nodes
+                in enumerate(_unpack_sequences(self.scopes, nodes))]
+
+    def rebind(self, works: list[ScopeWork],
+               nodes: tuple[Node, ...]) -> None:
+        """Phase 2's stored results onto ``works``, on ``nodes``."""
+        analyses = unpack_analyses(self.analyses, nodes)
+        externals = _unpack_sequences(self.externals, nodes)
+        for work, analysis, class_id, operands in zip(
+                works, analyses, self.classes, externals):
+            work.analysis = analysis
+            work.class_id = class_id
+            work.externals = operands
 
 
 # Phases 1-2 by (topology fingerprint, remote_stitching,
@@ -510,7 +617,8 @@ class DominantAnalysisPass(Pass):
     """Phase 2: dominant identification, merging, op grouping (Sec 4.3).
 
     Rebinds phase 1's memo entry when there was one; otherwise analyses
-    every scope and stores the entry for the topology.
+    and classifies (:func:`scope_class`) every scope and stores the
+    entry for the topology.
     """
 
     name = "dominant-analysis"
@@ -528,16 +636,19 @@ class DominantAnalysisPass(Pass):
         if key != _topology_key(state.graph, self.config):
             key = entry = None  # phase 1 ran under another config
         if entry is not None:
-            analyses = unpack_analyses(entry.analyses, state.graph.nodes)
-            for work, analysis in zip(works, analyses):
-                work.analysis = analysis
+            entry.rebind(works, state.graph.nodes)
         else:
             compared: list = []
+            outputs = set(state.graph.outputs)
+            classes: dict[tuple, int] = {}
             for work in works:
                 work.analysis = analyze_scope(
                     state.graph, work.scope.nodes,
                     dominant_merging=self.config.dominant_merging,
                     compared=compared)
+                class_key, work.externals = scope_class(
+                    state.graph, work.scope, work.analysis, outputs)
+                work.class_id = classes.setdefault(class_key, len(classes))
             if key is not None:
                 TOPOLOGY_MEMO.put(key, TopologyEntry.pack(
                     state.graph, works, compared))
@@ -547,7 +658,12 @@ class DominantAnalysisPass(Pass):
 
 class SchedulePropagationPass(Pass):
     """Phase 3: adaptive mapping + schedule propagation under one launch
-    (Sec 3.3 / 4.4)."""
+    (Sec 3.3 / 4.4).
+
+    Keys each scope by its class id plus the dims of its nodes and
+    external operands; the first scope of each key becomes the
+    representative phases 3-7 lower, every other one rebinds it.
+    """
 
     name = "schedule-propagation"
     kind = "lower"
@@ -563,11 +679,21 @@ class SchedulePropagationPass(Pass):
 
     def run(self, state: CompileState) -> dict[str, Any]:
         barriers = 0
+        first: dict[tuple, ScopeWork] = {}
         for work in scope_works(state):
+            key = (work.class_id,
+                   *[node.shape.dims for node in work.scope.nodes],
+                   *[node.shape.dims for node in work.externals])
+            representative = first.setdefault(key, work)
+            if representative is not work:
+                work.representative = representative
+                representative.rebound += 1
+                barriers += int(representative.needs_barrier)
+                continue
             work.needs_barrier, work.launch = propagate_schedule(
                 work.analysis, state.spec, self.config)
             barriers += int(work.needs_barrier)
-        return {"barrier_scopes": barriers}
+        return {"barrier_scopes": barriers, "scope_classes": len(first)}
 
 
 class LaunchTuningPass(Pass):
@@ -594,34 +720,32 @@ class LaunchTuningPass(Pass):
     def run(self, state: CompileState) -> dict[str, Any]:
         cfg = self.config
         tuned_scopes = compared = 0
-        for work in scope_works(state):
+        for work in representatives(state):
             tuned, verdict_key, cache = tuned_launch_for(
-                state.graph, work.analysis, state.spec, work.needs_barrier,
-                cfg)
+                work.analysis, state.spec, work.needs_barrier, cfg)
             if tuned is None or same_launch(tuned, work.launch):
                 # The search confirmed the heuristic — nothing to lower
                 # twice (the warm-cache compile-time bound).
                 continue
             verdict = cache.get(verdict_key)
-            if verdict == "heuristic":
-                continue
-            if verdict == "tuned":
-                work.launch = tuned
-                tuned_scopes += 1
-                continue
-            heuristic_kernels = lower_scope(state.graph, work.scope,
+            if verdict is None:
+                heuristic_kernels = lower_scope(state.graph, work.scope,
+                                                state.spec, work.analysis,
+                                                work.launch, cfg)
+                tuned_kernels = lower_scope(state.graph, work.scope,
                                             state.spec, work.analysis,
-                                            work.launch, cfg)
-            tuned_kernels = lower_scope(state.graph, work.scope,
-                                        state.spec, work.analysis,
-                                        tuned, cfg)
-            tuned_wins = scope_cost(tuned_kernels, state.spec) \
-                <= scope_cost(heuristic_kernels, state.spec)
-            cache.put(verdict_key, "tuned" if tuned_wins else "heuristic")
-            compared += 1
-            if tuned_wins:
+                                            tuned, cfg)
+                tuned_wins = scope_cost(tuned_kernels, state.spec) \
+                    <= scope_cost(heuristic_kernels, state.spec)
+                verdict = "tuned" if tuned_wins else "heuristic"
+                cache.put(verdict_key, verdict)
+                compared += 1
+            if verdict == "tuned":
+                # Its rebound scopes take the tuned launch too; only the
+                # comparison is the representative's alone (a per-scope
+                # compile finds the verdict cached for the rest).
                 work.launch = tuned
-                tuned_scopes += 1
+                tuned_scopes += 1 + work.rebound
         return {"tuned_scopes": tuned_scopes, "compared": compared}
 
 
@@ -640,13 +764,14 @@ class BlockLocalityPass(Pass):
     def run(self, state: CompileState) -> dict[str, Any]:
         counts = {scheme.name.lower(): 0 for scheme in StitchScheme}
         fallbacks = 0
-        for work in scope_works(state):
+        for work in representatives(state):
             work.schemes, work.per_group = assign_scope_schemes(
                 state.graph, work.scope, work.analysis, work.launch,
                 self.config)
-            fallbacks += int(work.per_group)
+            scopes = 1 + work.rebound
+            fallbacks += scopes * work.per_group
             for scheme in work.schemes.values():
-                counts[scheme.name.lower()] += 1
+                counts[scheme.name.lower()] += scopes
         return {**counts, "per_group_fallbacks": fallbacks}
 
 
@@ -664,26 +789,28 @@ class MemoryPlanningPass(Pass):
     def run(self, state: CompileState) -> dict[str, Any]:
         smem = 0
         components = 0
-        for work in scope_works(state):
+        for work in representatives(state):
+            scopes = 1 + work.rebound
             if work.per_group:
                 work.components = component_plans(
                     state.graph, work.scope, work.analysis, work.launch,
                     work.schemes, state.spec)
-                components += len(work.components)
-                smem += sum(c.plan.smem_per_block
-                            for c in work.components)
+                components += scopes * len(work.components)
+                smem += scopes * sum(c.plan.smem_per_block
+                                     for c in work.components)
             else:
                 work.plan = plan_scope_memory(
                     state.graph, work.analysis, work.launch,
                     work.schemes, state.spec)
-                smem += work.plan.smem_per_block
+                smem += scopes * work.plan.smem_per_block
         return {"smem_bytes": smem, "components": components}
 
 
 class StitchCodegenPass(Pass):
     """Phase 7: resource-aware launch configuration (Sec 4.5) and
     stitch-op emission — one kernel per scope (or per component on the
-    regional-only fallback)."""
+    regional-only fallback).  Each representative's kernels are rebound
+    onto the other scopes of its class (:func:`rebind_kernel`)."""
 
     name = "resource-launch"
     kind = "lower"
@@ -693,21 +820,34 @@ class StitchCodegenPass(Pass):
 
     def run(self, state: CompileState) -> dict[str, Any]:
         barriers = 0
+        lowered: dict[int, list[Kernel]] = {}
         for work in scope_works(state):
-            if work.per_group:
-                for component in work.components:
-                    state.kernels.append(emit_component_kernel(
-                        state.graph, work.scope, component))
-                continue
-            launch_cfg = configure_launch(state.spec,
-                                          work.launch.block_size,
-                                          work.plan.smem_per_block)
-            kernel = emit_stitch_kernel(state.graph, work.scope,
-                                        work.analysis, work.launch,
-                                        work.plan, launch_cfg)
-            barriers += kernel.num_global_barriers
-            state.kernels.append(kernel)
+            representative = work.representative
+            if representative is None:
+                kernels = lowered[work.scope.scope_id] = \
+                    self._emit(state, work)
+            else:
+                to = dict(zip(representative.scope.nodes, work.scope.nodes))
+                to.update(zip(representative.externals, work.externals))
+                name = f"stitch_{work.scope.scope_id}"
+                kernels = [
+                    rebind_kernel(kernel, to, f"{name}_c{index}"
+                                  if representative.per_group else name)
+                    for index, kernel in enumerate(
+                        lowered[representative.scope.scope_id])]
+            barriers += sum(kernel.num_global_barriers for kernel in kernels)
+            state.kernels.extend(kernels)
         return {"kernels": len(state.kernels), "barriers": barriers}
+
+    @staticmethod
+    def _emit(state: CompileState, work: ScopeWork) -> list[Kernel]:
+        if work.per_group:
+            return [emit_component_kernel(state.graph, work.scope, component)
+                    for component in work.components]
+        launch_cfg = configure_launch(state.spec, work.launch.block_size,
+                                      work.plan.smem_per_block)
+        return [emit_stitch_kernel(state.graph, work.scope, work.analysis,
+                                   work.launch, work.plan, launch_cfg)]
 
 
 def adaptive_mapping_factory(state: CompileState) -> MappingFn:

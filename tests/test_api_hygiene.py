@@ -5,8 +5,10 @@ docstring, and the package namespaces export what their ``__all__``
 claims.  These are release-quality guards, not behavior tests.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -74,3 +76,58 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__
+
+
+# Standard-library names newer than Python 3.9, the oldest version
+# ``requires-python`` admits: (module, attribute) pairs, and per
+# callable the keywords it only accepts later.
+NEWER_THAN_39 = {("itertools", "pairwise")}
+NEWER_KEYWORDS_THAN_39 = {"zip": {"strict"},
+                          "dataclass": {"slots", "kw_only"}}
+
+
+def _python_sources():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return sorted([*(root / "src").rglob("*.py"),
+                   *(root / "tests").rglob("*.py")])
+
+
+def _newer_than_39(tree: ast.AST) -> list[str]:
+    """``line N: name`` for every use in ``tree`` of a standard-library
+    name or keyword that Python 3.9 lacks."""
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names
+                     if (node.module, alias.name) in NEWER_THAN_39]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and (node.value.id, node.attr) in NEWER_THAN_39:
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            callee = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            newer = NEWER_KEYWORDS_THAN_39.get(callee, set())
+            names = [f"{callee}({keyword.arg}=)" for keyword in node.keywords
+                     if keyword.arg in newer]
+        found += [f"line {node.lineno}: {name}" for name in names]
+    return found
+
+
+class TestPython39:
+    def test_detects_newer_names(self):
+        source = ("from itertools import pairwise\n"
+                  "itertools.pairwise(a)\n"
+                  "zip(a, b, strict=True)\n"
+                  "@dataclasses.dataclass(slots=True, kw_only=True)\n"
+                  "class A: pass\n")
+        assert len(_newer_than_39(ast.parse(source))) == 5
+
+    def test_no_stdlib_names_newer_than_39(self):
+        offenders = {str(path): found for path in _python_sources()
+                     if (found := _newer_than_39(
+                         ast.parse(path.read_text(encoding="utf-8"))))}
+        assert not offenders

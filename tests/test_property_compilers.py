@@ -4,7 +4,8 @@ A Hypothesis strategy generates arbitrary well-formed computation graphs
 (element-wise chains, broadcasts, reduces, fan-out, compute-intensive
 dividers); every compiler must then:
 
-* produce numerics identical to the reference interpreter;
+* produce numerics identical to the reference interpreter, compiled
+  plain and through ``compile_optimized``;
 * cover every memory-intensive node by at least one kernel;
 * store every graph output exactly where later steps expect it
   (the executor enforces this — any violation raises);
@@ -17,6 +18,7 @@ dividers); every compiler must then:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import COMPILERS
 from repro.codegen.builder import kernel_cost_inputs
 from repro.compilers import TensorFlowCompiler, TVMCompiler, XLACompiler
 from repro.core import AStitchCompiler, AStitchConfig
@@ -157,6 +159,24 @@ class TestNumericEquivalence:
             for key in want:
                 np.testing.assert_allclose(got[key], want[key],
                                            rtol=1e-3, atol=1e-4)
+
+
+class TestOptimizedCompiles:
+    @given(random_graphs(identities=True))
+    @settings(max_examples=25, deadline=None)
+    def test_every_compiler_optimized_matches_interpreter(self, graph):
+        """``compile_optimized`` simplifies first: rewritten identities
+        and CSE-merged values (shared by several stitch scopes, whose
+        lowering is then rebound) must still compute the source graph."""
+        feeds = random_feeds(graph, seed=9, scale=0.5)
+        want = evaluate(graph, feeds)
+        for name, compiler_cls in COMPILERS.items():
+            got = compiler_cls().compile_optimized(graph).execute(feeds)
+            assert set(got) == set(want), name
+            for key in want:
+                np.testing.assert_allclose(
+                    got[key], want[key], rtol=1e-3, atol=1e-4,
+                    err_msg=f"{name} (optimized) diverges on {key}")
 
 
 class TestStructuralInvariants:
