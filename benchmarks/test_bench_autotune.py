@@ -19,6 +19,7 @@ variants, and would drown the launch-config signal the tuner targets).
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 
@@ -39,7 +40,7 @@ IRREGULAR_SHAPES = [
 ]
 IRREGULAR_GEOMEAN_FLOOR = 1.10
 WARM_COMPILE_CEILING = 1.2
-TIMING_REPEATS = 5
+TIMING_REPEATS = 9
 
 
 def _kernel_time(profile) -> float:
@@ -48,13 +49,26 @@ def _kernel_time(profile) -> float:
     return profile.total_time - staging
 
 
-def _best_of(fn, repeats: int = TIMING_REPEATS) -> float:
-    best = float("inf")
+def _best_of_alternating(first, second,
+                         repeats: int = TIMING_REPEATS) -> tuple[float, float]:
+    """Best wall time of each of two functions, run in turn within one
+    loop so both see the same stretches of machine load.  As in
+    ``timeit``, the garbage collector is off while a call is timed, so
+    a collection of the other compiles' garbage is charged to neither.
+    """
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        for index, fn in enumerate((first, second)):
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                fn()
+                elapsed = time.perf_counter() - started
+            finally:
+                gc.enable()
+            best[index] = min(best[index], elapsed)
+    return best[0], best[1]
 
 
 def _geomean(values) -> float:
@@ -108,9 +122,9 @@ def test_bench_autotune(fresh_caches):
     heuristic_total = tuned_total = 0.0
     for name, graph in graphs.items():
         tuned_compiler.compile(graph)  # warm the tuning cache
-        heuristic_s = _best_of(
-            lambda g=graph: heuristic_compiler.compile(g))
-        warm_s = _best_of(lambda g=graph: tuned_compiler.compile(g))
+        heuristic_s, warm_s = _best_of_alternating(
+            lambda g=graph: heuristic_compiler.compile(g),
+            lambda g=graph: tuned_compiler.compile(g))
         heuristic_total += heuristic_s
         tuned_total += warm_s
         compile_rows.append({

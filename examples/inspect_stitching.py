@@ -49,7 +49,7 @@ def main():
           f"(barriers needed between stages when values go global)")
 
     # 3. Adaptive thread mapping + unified launch.
-    launch = unify_launch(analysis.groups, V100, adaptive=True,
+    launch = unify_launch(analysis.groups, V100,
                           needs_barrier=analysis.stages > 1)
     print("\n[3] per-group thread mappings:")
     for gid, mapping in launch.group_mappings.items():

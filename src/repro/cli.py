@@ -427,9 +427,7 @@ def cmd_tune(args) -> int:
             analysis = analyze_scope(graph, scope.nodes)
             needs_barrier = (analysis.stages > 1
                              and config.enable_global_scheme)
-            decisions = tuner.tune_groups(
-                analysis.groups, needs_barrier, config.max_block_size,
-                config_tag=config.tuning_tag())
+            decisions = tuner.tune_groups(analysis.groups, needs_barrier)
             for group in analysis.groups:
                 decision = decisions[group.group_id]
                 candidates_total += decision.num_candidates

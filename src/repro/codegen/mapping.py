@@ -7,14 +7,23 @@ Two families:
 * *adaptive* mappings implement Sec 3.3 — horizontal/vertical task packing
   and task splitting — keeping the grid inside one wave so a global
   barrier stays legal while parallelism stays high.
+
+Every kernel root is mapped in two steps: :func:`root_geometry` reads
+its data pattern and extents, and :func:`heuristic_mapping` picks the
+constructor of either family for that pattern.  The baselines, the
+``ATM`` ablation, the stitched schedule groups and the tuner's
+candidate #0 all map through these two functions.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Optional
 
 from repro.codegen.schedule import MappingKind, ThreadMapping
 from repro.gpu.spec import GPUSpec
+from repro.ir.graph import Node
+from repro.ir.ops import OpKind
 
 _DEFAULT_BLOCK = 256
 _MAX_BLOCK = 1024
@@ -175,3 +184,71 @@ def reduce_geometry(in_shape, axes: tuple[int, ...]) -> tuple[int, int]:
     width = max(1, width)
     rows = max(1, in_shape.num_elements // width)
     return rows, width
+
+
+class RootGeometry(NamedTuple):
+    """What a mapping rule reads from a kernel root.
+
+    Attributes:
+        kind: The root's data pattern.
+        rows: Reduction rows (1 for element-wise roots).
+        width: Reduction width (1 for element-wise roots).
+        elements: Elements the root produces (at least 1).
+    """
+
+    kind: MappingKind
+    rows: int
+    width: int
+    elements: int
+
+
+def root_geometry(root: Node) -> RootGeometry:
+    """The data pattern and extents of the kernel rooted at ``root``."""
+    if root.kind is OpKind.REDUCE:
+        rows, width = reduce_geometry(root.operands[0].shape,
+                                      root.reduce_axes)
+        kind = (MappingKind.ROW_REDUCE if root.is_row_reduce()
+                else MappingKind.COLUMN_REDUCE)
+    else:
+        kind, rows, width = MappingKind.ELEMENTWISE, 1, 1
+    return RootGeometry(kind, rows, width, max(1, root.num_elements))
+
+
+def heuristic_mapping(geometry: RootGeometry,
+                      spec: Optional[GPUSpec] = None,
+                      wave_limit: int | None = None) -> ThreadMapping:
+    """The one-shot mapping of a root of ``geometry``.
+
+    Args:
+        geometry: The root's :func:`root_geometry`.
+        spec: Target device of the Sec 3.3 adaptive rule; ``None`` gives
+            the baselines' naive mapping, which ignores the device.
+        wave_limit: Per-wave block cap of the adaptive rule (see
+            :func:`barrier_wave_limit`); ``None`` leaves each adaptive
+            constructor its own one-wave default.
+    """
+    kind, rows, width, elements = geometry
+    if spec is None:
+        if kind is MappingKind.ROW_REDUCE:
+            return naive_row_reduce(rows, width)
+        if kind is MappingKind.COLUMN_REDUCE:
+            return naive_column_reduce(rows, width)
+        return naive_elementwise(elements)
+    if kind is MappingKind.ROW_REDUCE:
+        return adaptive_row_reduce(rows, width, spec, wave_limit=wave_limit)
+    if kind is MappingKind.COLUMN_REDUCE:
+        return adaptive_column_reduce(rows, width, spec,
+                                      wave_limit=wave_limit)
+    return adaptive_elementwise(elements, spec, wave_limit=wave_limit)
+
+
+def barrier_wave_limit(spec: GPUSpec, needs_barrier: bool) -> int | None:
+    """The per-wave block cap of a stitched kernel's schedule groups.
+
+    A kernel with global barriers must fit one wave (Sec 3.2.3), and
+    Sec 4.5 launches it with the device's largest block, so the cap is
+    one wave of those blocks; without barriers there is no cap.
+    """
+    if not needs_barrier:
+        return None
+    return spec.blocks_per_wave(spec.max_threads_per_block)

@@ -23,7 +23,6 @@ from typing import Optional
 
 from repro.codegen.builder import make_kernel
 from repro.codegen.kernel import Kernel
-from repro.codegen import mapping as mappings
 from repro.codegen.schedule import ThreadMapping
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind, SOURCES
@@ -141,17 +140,6 @@ def grow_fusion_group(graph: Graph, root: Node, roots: set[Node],
             amplified = factor * _edge_amplification(consumer, operand)
             redundancy[operand] = redundancy.get(operand, 0.0) + amplified
     return nodes, redundancy
-
-
-def naive_mapping_for(node: Node) -> ThreadMapping:
-    """The fixed baseline thread mapping for a kernel rooted at ``node``."""
-    if node.kind is OpKind.REDUCE:
-        rows, width = mappings.reduce_geometry(node.operands[0].shape,
-                                               node.reduce_axes)
-        if node.is_row_reduce():
-            return mappings.naive_row_reduce(rows, width)
-        return mappings.naive_column_reduce(rows, width)
-    return mappings.naive_elementwise(max(1, node.num_elements))
 
 
 def build_root_kernels(graph: Graph, component: list[Node],

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.compilers.base import Compiler
-from repro.compilers.common import naive_mapping_for
 from repro.codegen.builder import make_kernel
+from repro.codegen.mapping import heuristic_mapping, root_geometry
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pass, Pipeline
@@ -68,7 +68,8 @@ class OpPerKernelFormationPass(Pass):
                 absorbed += 1
                 continue
             state.kernels.append(make_kernel(
-                graph, view_closure(node), naive_mapping_for(node),
+                graph, view_closure(node),
+                heuristic_mapping(root_geometry(node)),
                 name=f"op_{node.name}", outputs=[node]))
         return {"kernels": len(state.kernels),
                 "views_absorbed": absorbed}

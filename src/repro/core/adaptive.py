@@ -16,38 +16,6 @@ from repro.codegen import mapping as mappings
 from repro.codegen.schedule import MappingKind, ThreadMapping
 from repro.core.dominants import GroupInfo
 from repro.gpu.spec import GPUSpec
-from repro.ir.graph import Node
-from repro.ir.ops import OpKind
-
-
-def dominant_mapping(dominant: Node, spec: GPUSpec, adaptive: bool,
-                     wave_limit: int | None = None) -> ThreadMapping:
-    """Thread mapping for one group's final dominant.
-
-    Args:
-        dominant: The group's final dominant node.
-        spec: Target device.
-        adaptive: Use Sec 3.3 packing/splitting; otherwise emit the
-            baselines' naive mapping (the non-ATM ablation).
-        wave_limit: Per-wave block cap shared by the whole stitched kernel.
-    """
-    if dominant.kind is OpKind.REDUCE:
-        rows, width = mappings.reduce_geometry(dominant.operands[0].shape,
-                                               dominant.reduce_axes)
-        if adaptive:
-            if dominant.is_row_reduce():
-                return mappings.adaptive_row_reduce(rows, width, spec,
-                                                    wave_limit=wave_limit)
-            return mappings.adaptive_column_reduce(rows, width, spec,
-                                                   wave_limit=wave_limit)
-        if dominant.is_row_reduce():
-            return mappings.naive_row_reduce(rows, width)
-        return mappings.naive_column_reduce(rows, width)
-    size = max(1, dominant.num_elements)
-    if adaptive:
-        return mappings.adaptive_elementwise(size, spec,
-                                             wave_limit=wave_limit)
-    return mappings.naive_elementwise(size)
 
 
 @dataclasses.dataclass
@@ -79,9 +47,8 @@ class UnifiedLaunch:
         return ThreadMapping(kind, self.grid_size, self.block_size)
 
 
-def unify_launch(groups: list[GroupInfo], spec: GPUSpec, adaptive: bool,
+def unify_launch(groups: list[GroupInfo], spec: GPUSpec,
                  needs_barrier: bool,
-                 max_block_size: int = 1024,
                  overrides: dict[int, ThreadMapping] | None = None,
                  ) -> UnifiedLaunch:
     """Compute one launch configuration covering every group.
@@ -92,37 +59,36 @@ def unify_launch(groups: list[GroupInfo], spec: GPUSpec, adaptive: bool,
 
     Args:
         overrides: Group id -> mapping decided elsewhere (the autotuner
-            of :mod:`repro.tuning`); groups absent from it fall back to
-            the heuristic :func:`dominant_mapping`.
+            of :mod:`repro.tuning`); groups absent from it get the
+            Sec 3.3 :func:`~repro.codegen.mapping.heuristic_mapping` of
+            their final dominant.
     """
-    block_size = min(max_block_size, spec.max_threads_per_block)
-    wave_limit = spec.blocks_per_wave(block_size) if needs_barrier else None
+    wave_limit = mappings.barrier_wave_limit(spec, needs_barrier)
 
     group_mappings: dict[int, ThreadMapping] = {}
     for group in groups:
         mapping = overrides.get(group.group_id) if overrides else None
         if mapping is None:
-            mapping = dominant_mapping(group.dominant, spec, adaptive,
-                                       wave_limit=wave_limit)
+            mapping = mappings.heuristic_mapping(
+                mappings.root_geometry(group.dominant), spec, wave_limit)
         group_mappings[group.group_id] = mapping
 
     grid = max(m.grid_size for m in group_mappings.values())
     block = max(m.block_size for m in group_mappings.values())
 
-    if adaptive:
-        # The launch must provision parallelism for the *widest* operator
-        # in the kernel, not only the dominants: a 1-row reduce dominant
-        # must not strangle the element-wise work propagated onto its
-        # schedule.  Vertical packing absorbs the excess when a barrier
-        # caps the grid.
-        widest = max(node.num_elements
-                     for group in groups for node in group.nodes)
-        work_mapping = mappings.adaptive_elementwise(
-            widest, spec, block_size=block, wave_limit=wave_limit)
-        grid = max(grid, work_mapping.grid_size)
-        block = max(block, work_mapping.block_size)
+    # The launch must provision parallelism for the *widest* operator
+    # in the kernel, not only the dominants: a 1-row reduce dominant
+    # must not strangle the element-wise work propagated onto its
+    # schedule.  Vertical packing absorbs the excess when a barrier
+    # caps the grid.
+    widest = max(node.num_elements
+                 for group in groups for node in group.nodes)
+    work_mapping = mappings.adaptive_elementwise(
+        widest, spec, block_size=block, wave_limit=wave_limit)
+    grid = max(grid, work_mapping.grid_size)
+    block = max(block, work_mapping.block_size)
 
-    if needs_barrier and wave_limit is not None:
+    if wave_limit is not None:
         grid = min(grid, wave_limit)
     uses_atomics = any(m.uses_atomics for m in group_mappings.values())
     return UnifiedLaunch(grid, block, group_mappings, uses_atomics)

@@ -34,6 +34,12 @@ from repro.pipeline.lowering import FinalizeModulePass, standard_tail
 # Sec 6.4.1: ~90 s of JIT work on 5,000-10,000-node graphs.
 ASTITCH_COMPILE_SECONDS_PER_NODE = 90.0 / 7500.0
 
+# The codegen tag of a tuned module.  It is folded into every module's
+# pricing signature, so it keeps the rendering of the adaptive-mapping
+# and block-ceiling switches the config once had (both are now fixed):
+# another string would change every tuned AStitch pricing signature.
+TUNED_CODEGEN_TAG = "tune:atm=1|block=1024"
+
 
 class AStitchCompiler(Compiler):
     """Operator-stitching JIT compiler."""
@@ -52,8 +58,7 @@ class AStitchCompiler(Compiler):
             self.name = "AStitch-heuristic"
 
     def build_pipeline(self) -> Pipeline:
-        tag = (f"tune:{self.config.tuning_tag()}"
-               if self.config.tuning_enabled else "")
+        tag = TUNED_CODEGEN_TAG if self.config.tuning_enabled else ""
         finalize = FinalizeModulePass(
             self.name,
             seconds_per_node=ASTITCH_COMPILE_SECONDS_PER_NODE,

@@ -1,12 +1,15 @@
 """AStitch configuration and ablation presets.
 
-The flags correspond one-to-one to the techniques the paper ablates in
-Table 4 (CRNN case study):
+One flag per technique the paper ablates in Table 4 (CRNN case study),
+plus the stitching variants and the launch search:
 
 * ``ATM`` — adaptive thread mapping alone, applied on XLA's fusion scopes;
 * ``HDM`` — exhaustive stitching with hierarchical data management, but
   without dominant merging;
 * full AStitch — everything on.
+
+Adaptive thread mapping (Sec 3.3) and the device's largest block
+(Sec 4.5) are not switches: every configuration uses both.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ class AStitchConfig:
     """Feature switches for the AStitch pipeline.
 
     Attributes:
-        adaptive_thread_mapping: Sec 3.3 task packing/splitting; when off,
-            dominants get the baselines' naive mappings.
         exhaustive_stitching: Sec 4.1 scope identification — stitch whole
             memory-intensive subgraphs into single kernels; when off, fall
             back to XLA's fusion scopes (this is the ``ATM`` ablation).
@@ -39,17 +40,13 @@ class AStitchConfig:
             guard, so tuning never worsens modeled latency.  When off,
             dominants get the plain Sec 3.3 heuristic mappings (the
             ablation / fallback path).
-        max_block_size: Upper bound on thread-block size (Sec 4.5 prefers
-            the CUDA maximum to minimize per-wave block count).
     """
 
-    adaptive_thread_mapping: bool = True
     exhaustive_stitching: bool = True
     dominant_merging: bool = True
     remote_stitching: bool = True
     enable_global_scheme: bool = True
     tune: bool = True
-    max_block_size: int = 1024
 
     @staticmethod
     def full() -> "AStitchConfig":
@@ -79,14 +76,6 @@ class AStitchConfig:
 
     @property
     def tuning_enabled(self) -> bool:
-        """Whether the launch search runs: it searches the adaptive
-        design space, so only on the adaptive-mapping, full-stitching
-        path."""
-        return (self.tune and self.adaptive_thread_mapping
-                and self.exhaustive_stitching)
-
-    def tuning_tag(self) -> str:
-        """Rendering of the tuning-relevant switches, used in tuning-cache
-        keys so ablation configs can never alias each other's decisions."""
-        return (f"atm={int(self.adaptive_thread_mapping)}"
-                f"|block={self.max_block_size}")
+        """Whether the launch search runs: it searches the schedule
+        groups of stitch scopes, so only with exhaustive stitching."""
+        return self.tune and self.exhaustive_stitching

@@ -38,9 +38,9 @@ of each key (its representative) is lowered; phase 7 rebinds the
 representative's kernels onto every other scope of the class
 (:func:`rebind_kernel`).
 
-:func:`adaptive_mapping_factory` is the ``ATM`` ablation's mapping
-rule: the shared kernel-formation pass applies it on XLA's fusion
-scopes, no stitching.
+:func:`atm_mapping_factory` is the ``ATM`` ablation's mapping rule:
+the shared kernel-formation pass applies the Sec 3.3 heuristic on XLA's
+fusion scopes, no stitching.
 """
 
 from __future__ import annotations
@@ -195,9 +195,7 @@ def propagate_schedule(analysis: ScopeAnalysis, spec: GPUSpec,
                        ) -> tuple[bool, UnifiedLaunch]:
     """Phase 3 for one scope: barrier need + heuristic unified launch."""
     needs_barrier = analysis.stages > 1 and cfg.enable_global_scheme
-    launch = unify_launch(analysis.groups, spec,
-                          cfg.adaptive_thread_mapping, needs_barrier,
-                          cfg.max_block_size)
+    launch = unify_launch(analysis.groups, spec, needs_barrier)
     return needs_barrier, launch
 
 
@@ -389,7 +387,7 @@ def rebind_kernel(kernel: Kernel, to: dict[Node, Node], name: str) -> Kernel:
 
 
 def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
-                     needs_barrier: bool, cfg: AStitchConfig):
+                     needs_barrier: bool):
     """Autotune the scope's groups and unify the winning mappings.
 
     Returns the tuned launch, the scope's verdict-cache key and the
@@ -398,9 +396,9 @@ def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
     """
     from repro.tuning import GroupTuner, signature_for_group
     tuner = GroupTuner(spec)
-    sigs = [signature_for_group(group, needs_barrier, cfg.max_block_size)
+    sigs = [signature_for_group(group, needs_barrier)
             for group in analysis.groups]
-    decisions = tuner.tune_signatures(sigs, config_tag=cfg.tuning_tag())
+    decisions = tuner.tune_signatures(sigs)
     if all(decision.mapping == decision.heuristic_mapping
            for decision in decisions):
         # Every group keeps its heuristic: the override unification
@@ -408,34 +406,9 @@ def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
         return None, None, tuner.cache
     overrides = {group.group_id: decision.mapping
                  for group, decision in zip(analysis.groups, decisions)}
-    tuned = unify_launch(analysis.groups, spec, True, needs_barrier,
-                         cfg.max_block_size, overrides=overrides)
-    return tuned, tuner.scope_key(sigs, cfg.tuning_tag()), tuner.cache
-
-
-def scope_cost(kernels: list[Kernel], spec: GPUSpec) -> float:
-    """Modeled wall time of a scope's kernels as the engine sees it.
-
-    Per kernel: duration, the visible part of its launch latency, and
-    the dispatch cost — plus the kernel-dependent memcpy activities (a
-    splitting mapping's atomics need a memset; the graph-level h2d/d2h
-    staging is identical for every variant, so it cancels out of the
-    comparison and is not priced here).
-    """
-    from repro.compilers.base import kernel_memcpys
-    from repro.gpu.costmodel import cost_model_for
-    from repro.runtime import engine
-    model = cost_model_for(spec)
-    priced = model.price_batch([kernel_cost_inputs(k) for k in kernels])
-    launch = spec.kernel_launch_latency
-    total = sum(c.duration
-                + max(engine.LAUNCH_FLOOR, launch - c.duration)
-                + engine.COMPILED_DISPATCH_LATENCY
-                for c in priced)
-    for call in kernel_memcpys(kernels):
-        total += spec.memcpy_latency \
-            + call.nbytes / (spec.dram_bandwidth / 4)
-    return total
+    tuned = unify_launch(analysis.groups, spec, needs_barrier,
+                         overrides=overrides)
+    return tuned, tuner.scope_key(sigs), tuner.cache
 
 
 def same_launch(left: UnifiedLaunch, right: UnifiedLaunch) -> bool:
@@ -672,10 +645,7 @@ class SchedulePropagationPass(Pass):
         self.config = config
 
     def params(self) -> str:
-        cfg = self.config
-        return (f"adaptive={int(cfg.adaptive_thread_mapping)},"
-                f"global={int(cfg.enable_global_scheme)},"
-                f"max_block={cfg.max_block_size}")
+        return f"global={int(self.config.enable_global_scheme)}"
 
     def run(self, state: CompileState) -> dict[str, Any]:
         barriers = 0
@@ -714,15 +684,14 @@ class LaunchTuningPass(Pass):
     def __init__(self, config: AStitchConfig):
         self.config = config
 
-    def params(self) -> str:
-        return f"tag={self.config.tuning_tag()}"
-
     def run(self, state: CompileState) -> dict[str, Any]:
+        from repro.runtime.engine import Engine
         cfg = self.config
+        engine = Engine(state.spec)
         tuned_scopes = compared = 0
         for work in representatives(state):
             tuned, verdict_key, cache = tuned_launch_for(
-                work.analysis, state.spec, work.needs_barrier, cfg)
+                work.analysis, state.spec, work.needs_barrier)
             if tuned is None or same_launch(tuned, work.launch):
                 # The search confirmed the heuristic — nothing to lower
                 # twice (the warm-cache compile-time bound).
@@ -735,8 +704,8 @@ class LaunchTuningPass(Pass):
                 tuned_kernels = lower_scope(state.graph, work.scope,
                                             state.spec, work.analysis,
                                             tuned, cfg)
-                tuned_wins = scope_cost(tuned_kernels, state.spec) \
-                    <= scope_cost(heuristic_kernels, state.spec)
+                tuned_wins = engine.variant_time(tuned_kernels) \
+                    <= engine.variant_time(heuristic_kernels)
                 verdict = "tuned" if tuned_wins else "heuristic"
                 cache.put(verdict_key, verdict)
                 compared += 1
@@ -850,21 +819,11 @@ class StitchCodegenPass(Pass):
                                    work.launch, work.plan, launch_cfg)]
 
 
-def adaptive_mapping_factory(state: CompileState) -> MappingFn:
-    """The Sec 3.3 adaptive thread-mapping rule for ``state``'s device."""
+def atm_mapping_factory(state: CompileState) -> MappingFn:
+    """The Sec 3.3 heuristic mapping rule on ``state``'s device."""
     spec = state.spec
-
-    def adaptive_mapping_for(root: Node) -> ThreadMapping:
-        if root.kind is OpKind.REDUCE:
-            rows, width = mappings.reduce_geometry(
-                root.operands[0].shape, root.reduce_axes)
-            if root.is_row_reduce():
-                return mappings.adaptive_row_reduce(rows, width, spec)
-            return mappings.adaptive_column_reduce(rows, width, spec)
-        return mappings.adaptive_elementwise(
-            max(1, root.num_elements), spec)
-
-    return adaptive_mapping_for
+    return lambda root: mappings.heuristic_mapping(
+        mappings.root_geometry(root), spec)
 
 
 def stitching_passes(config: AStitchConfig) -> tuple[Pass, ...]:
@@ -878,7 +837,7 @@ def stitching_passes(config: AStitchConfig) -> tuple[Pass, ...]:
     if not config.exhaustive_stitching:
         return (FusionKernelFormationPass(
             "adaptive-thread-mapping", xla_fusion_roots,
-            adaptive_mapping_factory, "adaptive"),)
+            atm_mapping_factory, "adaptive"),)
     passes: list[Pass] = [
         StitchScopeIdentificationPass(config),
         DominantAnalysisPass(config),

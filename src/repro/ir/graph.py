@@ -231,30 +231,17 @@ class Graph:
         return seen
 
     def validate(self) -> None:
-        """Check structural invariants.
+        """Check the IR invariants of :func:`repro.ir.verify.verify_graph`.
 
         Raises:
-            ValueError: On dangling operands, arity violations, or shape
-                inconsistencies for broadcast/reduce nodes.
+            ValueError: Listing every violation.
         """
-        member = set(self._nodes)
-        for node in self._nodes:
-            for op_node in node.operands:
-                if op_node not in member:
-                    raise ValueError(
-                        f"{node.name} references foreign node {op_node.name}")
-            if node.kind is OpKind.REDUCE:
-                in_shape = node.operands[0].shape
-                expected = in_shape.drop_axes(node.reduce_axes)
-                if expected != node.shape:
-                    raise ValueError(
-                        f"{node.name}: reduce of {in_shape!r} over axes "
-                        f"{node.reduce_axes} should give {expected!r}, "
-                        f"declared {node.shape!r}")
-            if node.kind is OpKind.BROADCAST:
-                from repro.ir.shape import broadcast_result_shape
-                broadcast_result_shape(node.operands[0].shape, node.shape,
-                                       node.broadcast_dims)
+        from repro.ir.verify import verify_graph
+        violations = verify_graph(self)
+        if violations:
+            raise ValueError(f"graph {self.name!r} violates "
+                             f"{len(violations)} IR invariant(s): "
+                             + "; ".join(violations))
 
     def stats(self) -> dict[str, int]:
         """Coarse op-census used by Fig 1-style reporting."""

@@ -7,8 +7,8 @@ Public surface:
   pass registry;
 * :mod:`repro.pipeline.manager` — :class:`PassManager` /
   :class:`PipelineRun`, the instrumented runner;
-* :mod:`repro.pipeline.verify` — :func:`verify_graph` /
-  :func:`check_graph`, the inter-pass IR invariant checker;
+* :mod:`repro.pipeline.verify` — :func:`check_graph`, the inter-pass
+  IR invariant checker over :func:`repro.ir.verify.verify_graph`;
 * :mod:`repro.pipeline.lowering` — the shared formation/lowering passes
   every compiler composes (importing it registers them).
 """
@@ -35,7 +35,8 @@ from repro.pipeline.lowering import (
     standard_tail,
 )
 from repro.pipeline.manager import PassManager, PipelineRun
-from repro.pipeline.verify import check_graph, verify_graph
+from repro.ir.verify import verify_graph
+from repro.pipeline.verify import check_graph
 
 __all__ = [
     "CompileState",

@@ -29,11 +29,8 @@ from repro.compilers.base import (
     framework_memcpys,
     order_steps,
 )
-from repro.compilers.common import (
-    MappingFn,
-    build_root_kernels,
-    naive_mapping_for,
-)
+from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.compilers.common import MappingFn, build_root_kernels
 from repro.ir import passes as ir_passes
 from repro.ir import patterns
 from repro.ir.graph import Graph, Node
@@ -71,7 +68,7 @@ MappingFactory = Callable[[CompileState], MappingFn]
 
 def naive_mapping_factory(state: CompileState) -> MappingFn:
     """The fixed baseline thread-mapping rule (state-independent)."""
-    return naive_mapping_for
+    return lambda root: heuristic_mapping(root_geometry(root))
 
 
 class FusionKernelFormationPass(Pass):

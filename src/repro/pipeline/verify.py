@@ -1,151 +1,17 @@
 """Inter-pass IR validation.
 
-:func:`verify_graph` checks the invariants every pass in this repository
-is entitled to assume — and must re-establish when it rebuilds a graph:
-
-* **dataflow** — operands belong to the graph and precede their
-  consumers (the node list is a topological order by construction, so a
-  rebuilt graph that violates this has a cycle or a dangling edge);
-  outputs are members; source ops have no operands; every other op has
-  its declared arity;
-* **shape** — element-wise operands match their consumer's shape
-  (broadcasts are explicit nodes in this IR), reduces declare the shape
-  their axes imply, broadcasts have consistent dimension maps, reshapes
-  preserve the element count;
-* **dtype** — element-wise operands agree with their consumer's dtype
-  (AMP conversion rewrites whole islands, never single edges);
-  constants carry a payload of the declared dtype and shape.
-
-``verify_graph`` returns the violations (empty list = valid) so tooling
-can report them all; :func:`check_graph` raises a
-:class:`~repro.compilers.base.CompilationError` carrying the pass
-context, which is what the :class:`~repro.pipeline.manager.PassManager`
-runs between passes when validation is on.
+:func:`check_graph` runs :meth:`Graph.validate
+<repro.ir.graph.Graph.validate>` (:func:`repro.ir.verify.verify_graph`)
+and raises a :class:`~repro.compilers.base.CompilationError` carrying
+the pass context; the :class:`~repro.pipeline.manager.PassManager` runs
+it between passes when validation is on.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.ir.graph import Graph, Node
-from repro.ir.ops import ELEMENTWISE, SOURCES, OpKind, operator
-from repro.ir.shape import broadcast_result_shape
-
-# SELECT's predicate operand is boolean-like; only the value operands
-# must agree with the result dtype.
-_DTYPE_EXEMPT_OPERANDS = {OpKind.SELECT: (0,)}
-
-
-def _check_node_shapes(node: Node, violations: list[str]) -> None:
-    if node.kind in ELEMENTWISE:
-        for operand in node.operands:
-            if operand.shape != node.shape:
-                violations.append(
-                    f"{node.name}: element-wise {node.kind.value} over "
-                    f"operand {operand.name}{operand.shape!r} does not "
-                    f"match result shape {node.shape!r}")
-    elif node.kind is OpKind.REDUCE:
-        in_shape = node.operands[0].shape
-        axes = node.reduce_axes
-        if any(axis < 0 or axis >= in_shape.rank for axis in axes):
-            violations.append(
-                f"{node.name}: reduce axes {axes} out of range for "
-                f"operand rank {in_shape.rank}")
-            return
-        expected = in_shape.drop_axes(axes)
-        if expected != node.shape:
-            violations.append(
-                f"{node.name}: reduce of {in_shape!r} over axes {axes} "
-                f"should give {expected!r}, declared {node.shape!r}")
-    elif node.kind is OpKind.BROADCAST:
-        try:
-            broadcast_result_shape(node.operands[0].shape, node.shape,
-                                   node.broadcast_dims)
-        except (KeyError, ValueError) as error:
-            violations.append(f"{node.name}: invalid broadcast "
-                              f"({error})")
-    elif node.kind is OpKind.RESHAPE:
-        if node.num_elements != node.operands[0].num_elements:
-            violations.append(
-                f"{node.name}: reshape changes element count "
-                f"({node.operands[0].num_elements} -> "
-                f"{node.num_elements})")
-    elif node.kind is OpKind.TRANSPOSE:
-        perm = tuple(node.attrs.get("permutation", ()))
-        if sorted(perm) != list(range(node.operands[0].shape.rank)):
-            violations.append(
-                f"{node.name}: transpose permutation {perm} is not a "
-                f"permutation of rank {node.operands[0].shape.rank}")
-
-
-def _check_node_dtypes(node: Node, violations: list[str]) -> None:
-    if node.kind not in ELEMENTWISE:
-        return
-    exempt = _DTYPE_EXEMPT_OPERANDS.get(node.kind, ())
-    for index, operand in enumerate(node.operands):
-        if index in exempt:
-            continue
-        if operand.dtype != node.dtype:
-            violations.append(
-                f"{node.name}: {node.kind.value} operand {operand.name} "
-                f"is {operand.dtype.name}, result declared "
-                f"{node.dtype.name}")
-
-
-def verify_graph(graph: Graph) -> list[str]:
-    """Check shape/dtype/dataflow invariants; return all violations."""
-    violations: list[str] = []
-    members: dict[Node, int] = {}
-    names: set[str] = set()
-    for position, node in enumerate(graph.nodes):
-        if node.name in names:
-            violations.append(f"duplicate node name {node.name!r}")
-        names.add(node.name)
-        members[node] = position
-
-    for node in graph.nodes:
-        arity = operator(node.kind).arity
-        if arity >= 0 and len(node.operands) != arity:
-            violations.append(
-                f"{node.name}: {node.kind.value} expects {arity} "
-                f"operands, has {len(node.operands)}")
-            continue
-        dangling = False
-        for operand in node.operands:
-            if operand not in members:
-                violations.append(f"{node.name}: operand "
-                                  f"{operand.name} is not in the graph")
-                dangling = True
-            elif members[operand] >= members[node]:
-                violations.append(
-                    f"{node.name}: operand {operand.name} does not "
-                    f"precede its consumer (dataflow order broken)")
-        if dangling:
-            continue
-        if node.kind in SOURCES and node.operands:
-            violations.append(f"{node.name}: source op has operands")
-        if node.kind is OpKind.CONSTANT:
-            value = node.attrs.get("value")
-            if value is None:
-                violations.append(f"{node.name}: constant has no value")
-            else:
-                payload = np.asarray(value)
-                if payload.size != node.num_elements:
-                    violations.append(
-                        f"{node.name}: constant payload has "
-                        f"{payload.size} elements, shape declares "
-                        f"{node.num_elements}")
-        if node.operands:
-            _check_node_shapes(node, violations)
-            _check_node_dtypes(node, violations)
-
-    for output in graph.outputs:
-        if output not in members:
-            violations.append(f"output {output.name} is not in the "
-                              f"graph")
-    return violations
+from repro.ir.graph import Graph
 
 
 def check_graph(graph: Graph, *,
@@ -156,11 +22,8 @@ def check_graph(graph: Graph, *,
         CompilationError: Listing every violation, annotated with the
             pass after which the graph went bad.
     """
-    violations = verify_graph(graph)
-    if not violations:
-        return
-    from repro.compilers.base import CompilationError
-    head = (f"graph {graph.name!r} violates {len(violations)} IR "
-            f"invariant(s): ")
-    raise CompilationError(head + "; ".join(violations),
-                           pass_name=pass_name)
+    try:
+        graph.validate()
+    except ValueError as error:
+        from repro.compilers.base import CompilationError
+        raise CompilationError(str(error), pass_name=pass_name) from None

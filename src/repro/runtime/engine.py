@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.codegen.builder import kernel_cost_inputs
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
-from repro.compilers.base import CompiledModule
+from repro.compilers.base import CompiledModule, kernel_memcpys
 from repro.gpu.costmodel import cost_model_for
 from repro.gpu.counters import PerfCounters
 from repro.gpu.spec import GPUSpec, V100
@@ -172,6 +172,30 @@ class Engine:
                 overhead=self.spec.memcpy_latency + transfer,
             )
         raise TypeError(f"price_step cannot price {type(step)}")
+
+    def variant_time(self, kernels: list[Kernel]) -> float:
+        """Timeline seconds of one lowering of a scope in a compiled
+        module, for comparing lowerings.
+
+        Per kernel: its duration, the visible part of its launch and the
+        dispatch, as :meth:`build_plan` prices a step; plus the memcpys
+        the kernels need themselves (a splitting mapping's atomics need
+        a memset, :func:`~repro.compilers.base.kernel_memcpys`).  The
+        graph's h2d/d2h staging is the same for every lowering, so it
+        cancels out and is not priced.
+        """
+        launch = self.spec.kernel_launch_latency
+        dispatch = self.config.compiled_dispatch_latency
+        priced = self.cost_model.price_batch(
+            [kernel_cost_inputs(k) for k in kernels])
+        total = sum(c.duration
+                    + _visible_launch_overhead(launch, c.duration,
+                                               self.config.launch_floor)
+                    + dispatch
+                    for c in priced)
+        for call in kernel_memcpys(kernels):
+            total += self.price_step(call, launch, dispatch).overhead
+        return total
 
     def plan(self, module: CompiledModule) -> "ExecutionPlan":
         """The execution plan for ``module`` (priced on first use).

@@ -1,10 +1,11 @@
 """Persistent, content-addressed tuning cache.
 
-A tuned launch configuration is a pure function of three things: the
+A tuned launch configuration is a pure function of two things: the
 *group fingerprint* (a content digest of everything the candidate search
 reads from a schedule group — dominant kind, reduce geometry, proxy
-traffic, barrier/legality context), the device :class:`GPUSpec`, and the
-tuning-relevant compiler configuration.  This module stores the winning
+traffic, barrier/legality context) and the device :class:`GPUSpec`.
+No compiler switch reaches the search: every configuration that tunes
+searches the same space.  This module stores the winning
 decision under exactly that key, so a shape that was tuned once — by any
 session, in any process — never pays the candidate sweep again.
 
@@ -27,7 +28,7 @@ from repro.store import ProcessDefault, TieredStore
 # Bump on any change to the decision payload, the candidate space, the
 # signature encoding or the key composition; invalidates every
 # persisted tuning entry at once.
-TUNING_FORMAT_VERSION = 1
+TUNING_FORMAT_VERSION = 2
 
 # Decisions are tiny (one ThreadMapping plus a few floats); thousands of
 # distinct group shapes fit in a few MB.
@@ -42,19 +43,16 @@ class TuningKey:
         group: Content digest of the group's tuning signature
             (:meth:`repro.tuning.tuner.GroupSignature.digest`).
         spec: Device spec, by value — any field change is a miss.
-        config: Rendering of the tuning-relevant compiler configuration
-            (block-size ceiling etc.); ablations cannot alias.
     """
 
     group: str
     spec: GPUSpec
-    config: str
 
     def digest(self) -> str:
         """Stable hex digest — the persistent tier's file name."""
         text = "|".join([
             f"tune-v{TUNING_FORMAT_VERSION}", self.group,
-            repr(dataclasses.astuple(self.spec)), self.config,
+            repr(dataclasses.astuple(self.spec)),
         ])
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -24,8 +24,12 @@ barrier — fits one wave at its own block size under the assumed
 register bound of Sec 4.5 (the compiler's assume-relax-apply pass and
 the final per-wave re-cap keep shared-memory shrinkage safe).
 
-The matching heuristic mapping is always candidate #0, so the tuned
-choice can never price worse than the heuristic under the same model.
+The heuristic mapping is always candidate #0: :func:`candidates` puts
+the pipeline's own Sec 3.3 rule
+(:func:`~repro.codegen.mapping.heuristic_mapping` under
+:func:`~repro.codegen.mapping.barrier_wave_limit`) first, so the tuned
+choice can never price worse than the untuned pipeline under the same
+model.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ def _pow2_range(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _block_sizes(spec: GPUSpec, max_block_size: int) -> list[int]:
-    hi = min(max_block_size, spec.max_threads_per_block)
+def _block_sizes(spec: GPUSpec) -> list[int]:
+    hi = spec.max_threads_per_block
     return _pow2_range(spec.warp_size, hi) or [min(hi, spec.warp_size)]
 
 
@@ -88,28 +92,29 @@ class _CandidateSet:
         self.mappings.append(mapping)
 
 
-def heuristic_wave_limit(spec: GPUSpec, needs_barrier: bool,
-                         max_block_size: int) -> int | None:
-    """The per-wave cap :func:`repro.core.adaptive.unify_launch` hands
-    the heuristic constructors — replicated so candidate #0 is exactly
-    the mapping the untuned pipeline would emit."""
-    if not needs_barrier:
-        return None
-    block = min(max_block_size, spec.max_threads_per_block)
-    return spec.blocks_per_wave(block)
-
-
-def elementwise_candidates(num_elements: int, spec: GPUSpec,
-                           needs_barrier: bool,
-                           max_block_size: int) -> list[ThreadMapping]:
-    """Block sizes × vertical-packing factors for element-wise work."""
-    n = max(1, num_elements)
+def candidates(geometry: mappings.RootGeometry, spec: GPUSpec,
+               needs_barrier: bool) -> list[ThreadMapping]:
+    """The legal candidates for a dominant of ``geometry``: the
+    pipeline's heuristic mapping first, then the enumerated space of
+    its kind."""
     out = _CandidateSet(spec, needs_barrier)
-    out.add(mappings.adaptive_elementwise(
-        n, spec, block_size=max_block_size,
-        wave_limit=heuristic_wave_limit(spec, needs_barrier,
-                                        max_block_size)))
-    for block in _block_sizes(spec, max_block_size):
+    out.add(mappings.heuristic_mapping(
+        geometry, spec, mappings.barrier_wave_limit(spec, needs_barrier)))
+    kind, rows, width, elements = geometry
+    if kind is MappingKind.ROW_REDUCE:
+        _row_reduce_space(out, rows, width)
+    elif kind is MappingKind.COLUMN_REDUCE:
+        _column_reduce_space(out, rows, width)
+    else:
+        _elementwise_space(out, elements)
+    return out.mappings
+
+
+def _elementwise_space(out: _CandidateSet, num_elements: int) -> None:
+    """Block sizes × vertical-packing factors for element-wise work."""
+    spec = out.spec
+    n = max(1, num_elements)
+    for block in _block_sizes(spec):
         raw_grid = math.ceil(n / block)
         wave = spec.blocks_per_wave(block)
         tasks_options = set(_TASK_FACTORS)
@@ -119,22 +124,15 @@ def elementwise_candidates(num_elements: int, spec: GPUSpec,
             grid = max(1, math.ceil(raw_grid / tasks))
             out.add(ThreadMapping(MappingKind.ELEMENTWISE, grid, block,
                                   tasks_per_thread=tasks))
-    return out.mappings
 
 
-def row_reduce_candidates(rows: int, width: int, spec: GPUSpec,
-                          needs_barrier: bool,
-                          max_block_size: int) -> list[ThreadMapping]:
+def _row_reduce_space(out: _CandidateSet, rows: int,
+                          width: int) -> None:
     """Packing and splitting geometries for row reduction."""
+    spec = out.spec
     rows = max(1, rows)
     width = max(1, width)
-    out = _CandidateSet(spec, needs_barrier)
-    out.add(mappings.adaptive_row_reduce(
-        rows, width, spec,
-        wave_limit=heuristic_wave_limit(spec, needs_barrier,
-                                        max_block_size)))
-
-    blocks = _block_sizes(spec, max_block_size)
+    blocks = _block_sizes(spec)
     width_ceiling = 1 << max(0, width - 1).bit_length()
 
     # Horizontal packing: threads_per_row x rows_per_block tilings.
@@ -168,22 +166,16 @@ def row_reduce_candidates(rows: int, width: int, spec: GPUSpec,
                 block_size=block,
                 blocks_per_row=blocks_per_row,
                 rows=rows, row_width=width))
-    return out.mappings
 
 
-def column_reduce_candidates(rows: int, width: int, spec: GPUSpec,
-                             needs_barrier: bool,
-                             max_block_size: int) -> list[ThreadMapping]:
+def _column_reduce_space(out: _CandidateSet, rows: int,
+                             width: int) -> None:
     """Block sizes × per-wave grid caps for column reduction."""
+    spec = out.spec
     rows = max(1, rows)
     width = max(1, width)
     elements = rows * width
-    out = _CandidateSet(spec, needs_barrier)
-    out.add(mappings.adaptive_column_reduce(
-        rows, width, spec,
-        wave_limit=heuristic_wave_limit(spec, needs_barrier,
-                                        max_block_size)))
-    for block in _block_sizes(spec, max_block_size):
+    for block in _block_sizes(spec):
         raw_grid = math.ceil(elements / block)
         wave = spec.blocks_per_wave(block)
         grids = {min(raw_grid, wave * cap) for cap in _WAVE_CAPS}
@@ -192,4 +184,3 @@ def column_reduce_candidates(rows: int, width: int, spec: GPUSpec,
             out.add(ThreadMapping(MappingKind.COLUMN_REDUCE,
                                   max(1, grid), block,
                                   rows=rows, row_width=width))
-    return out.mappings

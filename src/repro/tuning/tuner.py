@@ -23,8 +23,8 @@ Three properties the rest of the pipeline relies on:
   runs and different enumeration orders pick the identical winner;
 * **cached** — decisions persist in the content-addressed
   :class:`~repro.tuning.cache.TuningCache` keyed by group signature ×
-  device × config, so a shape is swept once per cache lifetime, not
-  once per compile.
+  device, so a shape is swept once per cache lifetime, not once per
+  compile.
 
 Pricing uses *proxy* cost inputs: the group's own traffic and FP work
 under the candidate's launch geometry, at the assumed register bound of
@@ -42,6 +42,7 @@ from collections.abc import Sequence
 from typing import Optional
 
 from repro.codegen.builder import node_work
+from repro.codegen.mapping import RootGeometry, root_geometry
 from repro.codegen.schedule import MappingKind, ThreadMapping
 from repro.core.dominants import GroupInfo
 from repro.gpu.costmodel import (KernelCostInputs, KernelCostModel,
@@ -76,7 +77,6 @@ class GroupSignature:
         fp_instructions: Proxy FP work of the whole group.
         needs_barrier: Whether the enclosing kernel will hold global
             barriers (constrains candidate legality to one wave).
-        max_block_size: Config block-size ceiling candidates honour.
     """
 
     kind: str
@@ -87,7 +87,12 @@ class GroupSignature:
     bytes_written: float
     fp_instructions: float
     needs_barrier: bool
-    max_block_size: int
+
+    @property
+    def geometry(self) -> RootGeometry:
+        """The dominant's :func:`~repro.codegen.mapping.root_geometry`."""
+        return RootGeometry(MappingKind(self.kind), self.rows, self.width,
+                            self.num_elements)
 
     def digest(self) -> str:
         # Hot on warm compiles (every scope of every compile digests its
@@ -133,8 +138,8 @@ class TunedDecision:
             / self.heuristic_time
 
 
-def signature_for_group(group: GroupInfo, needs_barrier: bool,
-                        max_block_size: int) -> GroupSignature:
+def signature_for_group(group: GroupInfo,
+                        needs_barrier: bool) -> GroupSignature:
     """Distill one schedule group into its tuning signature.
 
     The proxy traffic is the group's own: every distinct external
@@ -143,15 +148,7 @@ def signature_for_group(group: GroupInfo, needs_barrier: bool,
     the scheme/placement decisions that happen after tuning.
     """
     dominant = group.dominant
-    if dominant.kind is OpKind.REDUCE:
-        from repro.codegen.mapping import reduce_geometry
-        rows, width = reduce_geometry(dominant.operands[0].shape,
-                                      dominant.reduce_axes)
-        kind = (MappingKind.ROW_REDUCE if dominant.is_row_reduce()
-                else MappingKind.COLUMN_REDUCE)
-    else:
-        rows, width = 1, 1
-        kind = MappingKind.ELEMENTWISE
+    kind, rows, width, elements = root_geometry(dominant)
 
     # One pass over the group: external operands counted once (group
     # members and scalar constants excluded), FP work accumulated.
@@ -176,28 +173,18 @@ def signature_for_group(group: GroupInfo, needs_barrier: bool,
         kind=kind.value,
         rows=rows,
         width=width,
-        num_elements=max(1, dominant.num_elements),
+        num_elements=elements,
         bytes_read=bytes_read,
         bytes_written=bytes_written,
         fp_instructions=fp,
         needs_barrier=needs_barrier,
-        max_block_size=max_block_size,
     )
 
 
 def candidates_for(sig: GroupSignature,
                    spec: GPUSpec) -> list[ThreadMapping]:
     """The legal candidate set of one signature (heuristic first)."""
-    if sig.kind == MappingKind.ROW_REDUCE.value:
-        return space.row_reduce_candidates(
-            sig.rows, sig.width, spec, sig.needs_barrier,
-            sig.max_block_size)
-    if sig.kind == MappingKind.COLUMN_REDUCE.value:
-        return space.column_reduce_candidates(
-            sig.rows, sig.width, spec, sig.needs_barrier,
-            sig.max_block_size)
-    return space.elementwise_candidates(
-        sig.num_elements, spec, sig.needs_barrier, sig.max_block_size)
+    return space.candidates(sig.geometry, spec, sig.needs_barrier)
 
 
 def proxy_cost_inputs(sig: GroupSignature,
@@ -241,13 +228,12 @@ class GroupTuner:
         self.model = cost_model if cost_model is not None \
             else cost_model_for(spec)
 
-    def tune_signature(self, sig: GroupSignature,
-                       config_tag: str = "") -> TunedDecision:
+    def tune_signature(self, sig: GroupSignature) -> TunedDecision:
         """Tune one signature (through the cache)."""
-        return self.tune_signatures([sig], config_tag)[0]
+        return self.tune_signatures([sig])[0]
 
     def tune_signatures(self, sigs: Sequence[GroupSignature],
-                        config_tag: str = "") -> list[TunedDecision]:
+                        ) -> list[TunedDecision]:
         """Tune many signatures with one batched pricing pass.
 
         Cache lookups run first; every uncached signature's candidate
@@ -260,7 +246,7 @@ class GroupTuner:
         for sig in sigs:
             if sig in decisions:
                 continue
-            key = self._key(sig, config_tag)
+            key = TuningKey(group=sig.digest(), spec=self.spec)
             cached = self.cache.get(key)
             if cached is not None:
                 decisions[sig] = cached
@@ -285,34 +271,27 @@ class GroupTuner:
         return [decisions[sig] for sig in sigs]
 
     def tune_groups(self, groups: Sequence[GroupInfo],
-                    needs_barrier: bool, max_block_size: int,
-                    config_tag: str = "") -> dict[int, TunedDecision]:
+                    needs_barrier: bool) -> dict[int, TunedDecision]:
         """Tune every schedule group of one stitch scope.
 
         Returns group id -> decision; groups with identical signatures
         share one sweep (and one cache entry).
         """
-        sigs = [signature_for_group(group, needs_barrier, max_block_size)
+        sigs = [signature_for_group(group, needs_barrier)
                 for group in groups]
-        tuned = self.tune_signatures(sigs, config_tag)
+        tuned = self.tune_signatures(sigs)
         return {group.group_id: decision
                 for group, decision in zip(groups, tuned)}
 
-    def scope_key(self, sigs: Sequence[GroupSignature],
-                  config_tag: str = "") -> TuningKey:
+    def scope_key(self, sigs: Sequence[GroupSignature]) -> TuningKey:
         """Cache key for a *scope-level* decision (e.g. the compiler's
         lowered best-of verdict): the ordered group signatures jointly
         address it, so any group change re-opens the comparison."""
         text = "scope|" + "|".join(sig.digest() for sig in sigs)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return TuningKey(group=f"scope:{digest}", spec=self.spec,
-                         config=config_tag)
+        return TuningKey(group=f"scope:{digest}", spec=self.spec)
 
     # -- internals ----------------------------------------------------------
-
-    def _key(self, sig: GroupSignature, config_tag: str) -> TuningKey:
-        return TuningKey(group=sig.digest(), spec=self.spec,
-                         config=config_tag)
 
     @staticmethod
     def _select(cands: Sequence[ThreadMapping],

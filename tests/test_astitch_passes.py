@@ -91,7 +91,7 @@ class TestSchedulePropagation:
             assert work.launch is not None
             assert work.launch.grid_size >= 1
             assert 1 <= work.launch.block_size \
-                <= CONFIG.max_block_size
+                <= V100.max_threads_per_block
 
     def test_barrier_requires_global_scheme(self):
         regional = AStitchConfig.regional_only()

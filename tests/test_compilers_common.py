@@ -6,10 +6,10 @@ from repro.compilers.common import (
     build_root_kernels,
     grow_fusion_group,
     has_external_user,
-    naive_mapping_for,
     tvm_fusion_roots,
     xla_fusion_roots,
 )
+from repro.codegen.mapping import heuristic_mapping, root_geometry
 from repro.ir.builder import GraphBuilder
 from repro.ir import patterns
 from repro.ir.ops import OpKind
@@ -141,8 +141,10 @@ class TestNaiveMappingFor:
         b.output(row)
         b.output(col)
         from repro.codegen.schedule import MappingKind
-        assert naive_mapping_for(row).kind is MappingKind.ROW_REDUCE
-        assert naive_mapping_for(col).kind is MappingKind.COLUMN_REDUCE
+        assert heuristic_mapping(root_geometry(row)).kind \
+            is MappingKind.ROW_REDUCE
+        assert heuristic_mapping(root_geometry(col)).kind \
+            is MappingKind.COLUMN_REDUCE
 
     def test_elementwise_dispatch(self):
         b = GraphBuilder()
@@ -150,7 +152,8 @@ class TestNaiveMappingFor:
         t = b.tanh(x)
         b.output(t)
         from repro.codegen.schedule import MappingKind
-        assert naive_mapping_for(t).kind is MappingKind.ELEMENTWISE
+        assert heuristic_mapping(root_geometry(t)).kind \
+            is MappingKind.ELEMENTWISE
 
 
 class TestBuildRootKernels:
@@ -163,8 +166,9 @@ class TestBuildRootKernels:
         graph = b.build()
         component = list(graph.memory_intensive_nodes())
         roots = xla_fusion_roots(graph, component)
-        kernels = build_root_kernels(graph, component, roots,
-                                     naive_mapping_for)
+        kernels = build_root_kernels(
+            graph, component, roots,
+            lambda root: heuristic_mapping(root_geometry(root)))
         for kernel in kernels:
             assert len(kernel.outputs) == 1
             assert kernel.outputs[0] in roots

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.codegen.schedule import MappingKind
-from repro.core.adaptive import UnifiedLaunch, dominant_mapping, unify_launch
+from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.core.adaptive import UnifiedLaunch, unify_launch
 from repro.core.dominants import analyze_scope
 from repro.core.scope import identify_stitch_scopes
 from repro.gpu.spec import T4, V100
@@ -26,19 +27,19 @@ class TestDominantMapping:
 
     def test_row_reduce_adaptive(self):
         node = self._reduce_node(750_000, 32)
-        mapping = dominant_mapping(node, V100, adaptive=True)
+        mapping = heuristic_mapping(root_geometry(node), V100)
         assert mapping.kind is MappingKind.ROW_REDUCE
         assert mapping.rows_per_block > 1
 
     def test_row_reduce_naive(self):
         node = self._reduce_node(750_000, 32)
-        mapping = dominant_mapping(node, V100, adaptive=False)
+        mapping = heuristic_mapping(root_geometry(node))
         assert mapping.grid_size == 750_000
         assert mapping.block_size == 32
 
     def test_column_reduce_adaptive(self):
         node = self._reduce_node(1000, 32, axes=(0,))
-        mapping = dominant_mapping(node, V100, adaptive=True)
+        mapping = heuristic_mapping(root_geometry(node), V100)
         assert mapping.kind is MappingKind.COLUMN_REDUCE
 
     def test_elementwise_dominant(self):
@@ -46,21 +47,21 @@ class TestDominantMapping:
         x = b.parameter("x", (4096,))
         t = b.tanh(x)
         b.output(t)
-        mapping = dominant_mapping(t, V100, adaptive=True)
+        mapping = heuristic_mapping(root_geometry(t), V100)
         assert mapping.kind is MappingKind.ELEMENTWISE
 
     def test_wave_limit_respected(self):
         node = self._reduce_node(500_000, 64)
-        mapping = dominant_mapping(node, V100, adaptive=True,
-                                   wave_limit=100)
+        mapping = heuristic_mapping(root_geometry(node), V100,
+                                    wave_limit=100)
         assert mapping.grid_size <= 100
 
     def test_device_dependence(self):
         node = self._reduce_node(500_000, 64)
-        v100 = dominant_mapping(node, V100, adaptive=True,
-                                wave_limit=V100.blocks_per_wave(1024))
-        t4 = dominant_mapping(node, T4, adaptive=True,
-                              wave_limit=T4.blocks_per_wave(1024))
+        v100 = heuristic_mapping(root_geometry(node), V100,
+                                 wave_limit=V100.blocks_per_wave(1024))
+        t4 = heuristic_mapping(root_geometry(node), T4,
+                               wave_limit=T4.blocks_per_wave(1024))
         # T4 has fewer SMs -> smaller wave -> more vertical packing.
         assert t4.grid_size <= v100.grid_size
 
@@ -71,7 +72,7 @@ class TestUnifyLaunch:
         # group sharing the kernel.
         graph = micro.softmax_graph(2, 64)
         analysis = groups_for(graph)
-        launch = unify_launch(analysis.groups, V100, adaptive=True,
+        launch = unify_launch(analysis.groups, V100,
                               needs_barrier=False)
         covered = launch.grid_size * launch.block_size
         widest = max(n.num_elements for g in analysis.groups
@@ -83,7 +84,7 @@ class TestUnifyLaunch:
     def test_barrier_caps_grid_at_wave(self):
         graph = micro.column_reduce_chain(size=4096, steps=2)
         analysis = groups_for(graph)
-        launch = unify_launch(analysis.groups, V100, adaptive=True,
+        launch = unify_launch(analysis.groups, V100,
                               needs_barrier=True)
         assert launch.grid_size <= V100.blocks_per_wave(
             launch.block_size)
@@ -91,7 +92,7 @@ class TestUnifyLaunch:
     def test_returns_group_mappings(self):
         graph = micro.fig7_subgraph(256, 128)
         analysis = groups_for(graph)
-        launch = unify_launch(analysis.groups, V100, adaptive=True,
+        launch = unify_launch(analysis.groups, V100,
                               needs_barrier=False)
         assert isinstance(launch, UnifiedLaunch)
         assert set(launch.group_mappings) == {
@@ -100,25 +101,13 @@ class TestUnifyLaunch:
     def test_atomics_propagated(self):
         graph = micro.row_reduce(64, 30_000)
         analysis = groups_for(graph)
-        launch = unify_launch(analysis.groups, V100, adaptive=True,
+        launch = unify_launch(analysis.groups, V100,
                               needs_barrier=True)
         assert launch.uses_atomics
 
     def test_as_mapping_prefers_reduce_kind(self):
         graph = micro.softmax_graph(512, 128)
         analysis = groups_for(graph)
-        launch = unify_launch(analysis.groups, V100, adaptive=True,
+        launch = unify_launch(analysis.groups, V100,
                               needs_barrier=False)
         assert launch.as_mapping().kind is MappingKind.ROW_REDUCE
-
-    def test_naive_mode_skips_work_floor(self):
-        graph = micro.softmax_graph(2, 64)
-        analysis = groups_for(graph)
-        adaptive = unify_launch(analysis.groups, V100, adaptive=True,
-                                needs_barrier=False)
-        naive = unify_launch(analysis.groups, V100, adaptive=False,
-                             needs_barrier=False)
-        # Naive unification reproduces the baselines' launches; only the
-        # adaptive path provisions for the widest operator.
-        assert naive.grid_size <= adaptive.grid_size \
-            or naive.block_size != adaptive.block_size

@@ -18,11 +18,11 @@ from repro.ir.builder import GraphBuilder
 from repro.workloads import micro
 
 
-def scheme_map(graph, dominant_merging=True, adaptive=True):
+def scheme_map(graph, dominant_merging=True):
     scope = identify_stitch_scopes(graph)[0]
     analysis = analyze_scope(graph, scope.nodes,
                              dominant_merging=dominant_merging)
-    launch = unify_launch(analysis.groups, V100, adaptive,
+    launch = unify_launch(analysis.groups, V100,
                           needs_barrier=analysis.stages > 1)
     return assign_schemes(graph, analysis, launch.group_mappings,
                           scope.node_set)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir.builder import GraphBuilder
+from repro.ir.dtypes import F16
 from repro.ir.graph import Graph, constant_value
 from repro.ir.ops import OpKind, ReduceKind
 from repro.ir import patterns
@@ -150,6 +151,25 @@ class TestBuilderInference:
               reduce_kind=ReduceKind.SUM)
         with pytest.raises(ValueError):
             g.validate()
+
+    def test_validate_lists_every_violation(self):
+        b = GraphBuilder()
+        x = b.parameter("x", (8, 16))
+        h = b.parameter("h", (8, 16), dtype=F16)
+        g = b.graph
+        g.add(OpKind.REDUCE, (x,), (9,), axes=(1,),
+              reduce_kind=ReduceKind.SUM)
+        g.add(OpKind.ADD, (x, h), (8, 16))
+        with pytest.raises(ValueError, match="2 IR invariant") as error:
+            g.validate()
+        assert "should give" in str(error.value)
+        assert "is f16" in str(error.value)
+
+    def test_validate_accepts_splat_constant(self):
+        b = GraphBuilder()
+        x = b.parameter("x", (4,))
+        b.output(b.multiply(x, b.constant(2.0, (4,))))
+        b.build().validate()
 
     def test_constant_value_materialization(self):
         b = GraphBuilder()

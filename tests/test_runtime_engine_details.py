@@ -98,6 +98,25 @@ class TestStepPricing:
             checked += 1
         assert checked
 
+    def test_variant_time_matches_plan_steps(self):
+        # The launch-tuning comparator prices a lowering through the
+        # same per-step accounting as the plan: each kernel's duration
+        # and overhead, plus the memcpys the kernels need themselves.
+        from repro.compilers.base import kernel_memcpys
+        module = AStitchCompiler().compile(micro.row_reduce(64, 30_000))
+        engine = Engine()
+        kernels = module.kernels()
+        memcpys = kernel_memcpys(kernels)
+        assert memcpys  # the splitting mapping's atomics need a memset
+        plan = engine.build_plan(module)
+        launch, dispatch = engine.launch_costs(module)
+        want = sum(step.duration + step.overhead for step in plan.steps
+                   if step.category == "mem")
+        want += sum(engine.price_step(call, launch, dispatch).overhead
+                    for call in memcpys)
+        assert engine.variant_time(kernels) == pytest.approx(want,
+                                                             rel=1e-12)
+
     def test_kernels_priced_only_in_batch(self):
         module = XLACompiler().compile(micro.softmax_graph(128, 64))
         engine = Engine()

@@ -36,7 +36,6 @@ ABLATIONS = {
     "dominant_merging=False": AStitchConfig(dominant_merging=False),
     "enable_global_scheme=False": AStitchConfig(enable_global_scheme=False),
     "remote_stitching=False": AStitchConfig(remote_stitching=False),
-    "max_block_size=256": AStitchConfig(max_block_size=256),
 }
 
 

@@ -48,7 +48,7 @@ CASES = {
     ),
     "tuning": (
         TuningCache,
-        lambda i: TuningKey(group=f"g{i}", spec=V100, config="c"),
+        lambda i: TuningKey(group=f"g{i}", spec=V100),
         lambda i: ("decision", i),
         (default_tuning_cache, set_default_tuning_cache),
     ),
@@ -158,6 +158,15 @@ class TestPersistentTier:
         cache = cls(cache_dir=tmp_path)
         assert cache.get(key(0)) is None
         assert cache.stats.misses == 1
+
+    def test_format_version_bump_invalidates_disk(self, case, tmp_path,
+                                                  monkeypatch):
+        cls, key, value, _ = case
+        cls(cache_dir=tmp_path).put(key(0), value(0))
+        monkeypatch.setattr(cls, "version", cls.version + 1)
+        stale = cls(cache_dir=tmp_path)
+        assert stale.get(key(0)) is None
+        assert stale.stats.misses == 1
 
     @pytest.mark.parametrize("field", ["version", "key"])
     def test_header_mismatch_degrades_to_miss(self, case, tmp_path, field):

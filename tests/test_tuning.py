@@ -1,21 +1,31 @@
 """The launch-config autotuner and its persistent decision cache.
 
-Pins the three contracts the compiler builds on: tuned modules never
-price worse than the heuristic ones, cache keys invalidate on every
-input that matters (and only those), and tie-breaking is a total order
-so repeated sweeps are bit-identical.
+Pins the contracts the compiler builds on: candidate #0 is the mapping
+the untuned pipeline emits, so tuned modules never price worse than the
+heuristic ones; cache keys invalidate on every input that matters (and
+only those), and the shared cache cannot alias ablations; tie-break is
+a total order so repeated sweeps are bit-identical.  The cache's tier
+behaviour (round trip, LRU, corrupt files, format version) is covered
+with the other stores in ``tests/test_store.py``.
 """
 
 import dataclasses
 
 import pytest
 
+from repro import reset_caches
+from repro.codegen.builder import kernel_cost_inputs
+from repro.codegen.kernel import Kernel
 from repro.codegen.schedule import MappingKind
+from repro.compilers import FusionStitchingCompiler
 from repro.core import AStitchCompiler, AStitchConfig
-from repro.gpu.spec import T4, V100
+from repro.core.adaptive import unify_launch
+from repro.core.dominants import analyze_scope
+from repro.core.scope import identify_stitch_scopes
+from repro.gpu.spec import A100, T4, V100
 from repro.runtime.engine import Engine
+from repro.runtime.plan import module_pricing_signature
 from repro.tuning import (
-    TUNING_FORMAT_VERSION,
     GroupSignature,
     GroupTuner,
     TunedDecision,
@@ -23,6 +33,7 @@ from repro.tuning import (
     TuningKey,
     candidates_for,
     proxy_cost_inputs,
+    signature_for_group,
 )
 from repro.workloads import WORKLOADS, build, micro
 
@@ -31,14 +42,12 @@ from repro.workloads import WORKLOADS, build, micro
 pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
-def row_reduce_sig(rows=200, width=200_000, needs_barrier=False,
-                   max_block_size=1024):
+def row_reduce_sig(rows=200, width=200_000, needs_barrier=False):
     return GroupSignature(
         kind=MappingKind.ROW_REDUCE.value, rows=rows, width=width,
         num_elements=rows, bytes_read=float(rows * width * 4),
         bytes_written=float(rows * 4),
-        fp_instructions=float(rows * width), needs_barrier=needs_barrier,
-        max_block_size=max_block_size)
+        fp_instructions=float(rows * width), needs_barrier=needs_barrier)
 
 
 def elementwise_sig(n=1 << 20):
@@ -46,7 +55,7 @@ def elementwise_sig(n=1 << 20):
         kind=MappingKind.ELEMENTWISE.value, rows=1, width=1,
         num_elements=n, bytes_read=float(n * 8),
         bytes_written=float(n * 4), fp_instructions=float(3 * n),
-        needs_barrier=False, max_block_size=1024)
+        needs_barrier=False)
 
 
 class TestNeverWorse:
@@ -144,9 +153,9 @@ class TestDeterminism:
 
 
 class TestTuningCache:
-    def _key(self, sig=None, spec=V100, config="atm=1|block=1024"):
+    def _key(self, sig=None, spec=V100):
         sig = sig if sig is not None else row_reduce_sig()
-        return TuningKey(group=sig.digest(), spec=spec, config=config)
+        return TuningKey(group=sig.digest(), spec=spec)
 
     def _decision(self):
         sig = row_reduce_sig()
@@ -154,14 +163,6 @@ class TestTuningCache:
         return TunedDecision(mapping=mapping, heuristic_mapping=mapping,
                              tuned_time=1e-4, heuristic_time=1e-4,
                              num_candidates=1)
-
-    def test_memory_round_trip(self):
-        cache = TuningCache()
-        key = self._key()
-        assert cache.get(key) is None
-        cache.put(key, self._decision())
-        assert cache.get(key) == self._decision()
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_disk_round_trip(self, tmp_path):
         key = self._key()
@@ -179,44 +180,10 @@ class TestTuningCache:
         tweaked = dataclasses.replace(V100, num_sms=V100.num_sms + 1)
         assert cache.get(self._key(spec=tweaked)) is None
 
-    def test_config_change_misses(self, tmp_path):
-        cache = TuningCache(cache_dir=tmp_path)
-        cache.put(self._key(), self._decision())
-        assert cache.get(self._key(config="atm=1|block=256")) is None
-
     def test_signature_change_misses(self):
         cache = TuningCache()
         cache.put(self._key(), self._decision())
         assert cache.get(self._key(sig=elementwise_sig())) is None
-
-    def test_format_version_bump_invalidates_disk(self, tmp_path,
-                                                  monkeypatch):
-        key = self._key()
-        TuningCache(cache_dir=tmp_path).put(key, self._decision())
-        from repro.tuning import cache as cache_mod
-        monkeypatch.setattr(cache_mod, "TUNING_FORMAT_VERSION",
-                            TUNING_FORMAT_VERSION + 1)
-        stale = TuningCache(cache_dir=tmp_path)
-        assert stale.get(key) is None
-        assert stale.stats.misses == 1
-
-    def test_corrupt_file_degrades_to_miss(self, tmp_path):
-        cache = TuningCache(cache_dir=tmp_path)
-        key = self._key()
-        cache.put(key, self._decision())
-        for path in tmp_path.glob("tune_*.pkl"):
-            path.write_bytes(b"not a pickle")
-        fresh = TuningCache(cache_dir=tmp_path)
-        assert fresh.get(key) is None
-
-    def test_lru_eviction(self):
-        cache = TuningCache(capacity=2)
-        keys = [self._key(config=f"c{i}") for i in range(3)]
-        for key in keys:
-            cache.put(key, self._decision())
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        assert keys[0] not in cache and keys[2] in cache
 
     def test_tuner_reuses_cached_decision(self):
         cache = TuningCache()
@@ -231,7 +198,6 @@ class TestTuningCache:
         base = self._key()
         assert base.digest() == self._key().digest()
         assert base.digest() != self._key(spec=T4).digest()
-        assert base.digest() != self._key(config="x").digest()
         assert base.digest() != self._key(sig=elementwise_sig()).digest()
 
 
@@ -246,7 +212,8 @@ class TestCompilerIntegration:
         tuned = AStitchCompiler().compile(graph)
         heuristic = AStitchCompiler(
             AStitchConfig.heuristic_mappings()).compile(graph)
-        assert tuned.codegen_tag.startswith("tune:")
+        # Folded into every pricing signature, the golden file's too.
+        assert tuned.codegen_tag == "tune:atm=1|block=1024"
         assert heuristic.codegen_tag == ""
 
     def test_micro_row_reduce_tuned_not_worse(self):
@@ -268,3 +235,62 @@ class TestCompilerIntegration:
         for name, value in want.items():
             np.testing.assert_allclose(got[name], value, rtol=1e-5,
                                        atol=1e-6)
+
+
+REGISTRY = ("CRNN", "ASR", "BERT", "DIEN")
+
+
+class TestHeuristicCandidate:
+    """Candidate #0 is the mapping the untuned pipeline emits: the
+    never-worse guarantee compares against the real heuristic."""
+
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_candidate_zero_is_pipeline_mapping(self, name):
+        checked = 0
+        for batch in (1, 48):
+            graph = build(name, batch=batch)
+            for scope in identify_stitch_scopes(graph):
+                analysis = analyze_scope(graph, scope.nodes)
+                needs_barrier = analysis.stages > 1
+                for spec in (V100, T4, A100):
+                    launch = unify_launch(analysis.groups, spec,
+                                          needs_barrier)
+                    for group in analysis.groups:
+                        sig = signature_for_group(group, needs_barrier)
+                        assert candidates_for(sig, spec)[0] \
+                            == launch.group_mappings[group.group_id], \
+                            (name, batch, spec.name, group.dominant.name)
+                        checked += 1
+        assert checked >= 100
+
+
+def _steps(module) -> list:
+    return [(step.name, step.mapping, kernel_cost_inputs(step))
+            if isinstance(step, Kernel) else (type(step).__name__, step.name)
+            for step in module.steps]
+
+
+class TestSharedCacheAblations:
+    """Ablations share the process-wide tuning cache with the full
+    compiler under keys that carry no config: compiling one right after
+    a full AStitch compile must give the module a cold compile gives."""
+
+    ABLATIONS = {
+        "FusionStitching": FusionStitchingCompiler,
+        "HDM": lambda: AStitchCompiler(AStitchConfig.no_dominant_merging()),
+        "remote_stitching=False": lambda: AStitchCompiler(
+            AStitchConfig(remote_stitching=False)),
+    }
+
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_ablation_after_full_compile_matches_cold(self, name):
+        graph = build(name)
+        for label, make in self.ABLATIONS.items():
+            reset_caches()
+            cold = make().compile(graph)
+            reset_caches()
+            AStitchCompiler().compile(graph)
+            shared = make().compile(graph)
+            assert module_pricing_signature(shared) \
+                == module_pricing_signature(cold), label
+            assert _steps(shared) == _steps(cold), label
