@@ -164,6 +164,14 @@ class TestTuningCache:
                              tuned_time=1e-4, heuristic_time=1e-4,
                              num_candidates=1)
 
+    def test_memory_round_trip(self):
+        cache = TuningCache()
+        key = self._key()
+        assert cache.get(key) is None
+        cache.put(key, self._decision())
+        assert cache.get(key) == self._decision()
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+
     def test_disk_round_trip(self, tmp_path):
         key = self._key()
         TuningCache(cache_dir=tmp_path).put(key, self._decision())
@@ -184,6 +192,24 @@ class TestTuningCache:
         cache = TuningCache()
         cache.put(self._key(), self._decision())
         assert cache.get(self._key(sig=elementwise_sig())) is None
+
+    def test_corrupt_file_degrades_to_miss(self, tmp_path):
+        cache = TuningCache(cache_dir=tmp_path)
+        key = self._key()
+        cache.put(key, self._decision())
+        for path in tmp_path.glob("tune_*.pkl"):
+            path.write_bytes(b"not a pickle")
+        fresh = TuningCache(cache_dir=tmp_path)
+        assert fresh.get(key) is None
+
+    def test_lru_eviction(self):
+        cache = TuningCache(capacity=2)
+        keys = [self._key(spec=spec) for spec in (V100, T4, A100)]
+        for key in keys:
+            cache.put(key, self._decision())
+        assert len(cache) == 2
+        assert cache.stats.evictions == 1
+        assert keys[0] not in cache and keys[2] in cache
 
     def test_tuner_reuses_cached_decision(self):
         cache = TuningCache()
