@@ -84,7 +84,7 @@ def test_extra_packing_and_splitting(benchmark):
                                      outputs=[reduce_node])
                 return cost.price(kernel_cost_inputs(kernel)).duration
 
-            naive = price(mappings.naive_row_reduce(rows, cols))
+            naive = price(mappings.naive_row_reduce(rows, cols, V100))
             adaptive = price(mappings.adaptive_row_reduce(rows, cols,
                                                           V100))
             out[mechanism] = (naive, adaptive)

@@ -49,7 +49,7 @@ def main():
     for rows_, cols in ((750_000, 32), (64, 30_000)):
         print(f"\n=== <{rows_},{cols}> ===")
         print(render_comparison(
-            mappings.naive_row_reduce(rows_, cols),
+            mappings.naive_row_reduce(rows_, cols, V100),
             mappings.adaptive_row_reduce(rows_, cols, V100)))
 
 

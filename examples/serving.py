@@ -12,7 +12,8 @@ Run:  python examples/serving.py
 import tempfile
 
 from repro import AStitchCompiler, Engine, render_table
-from repro.runtime import JitCache, write_chrome_trace
+from repro.runtime import (JitCache, profile_to_chrome_trace,
+                           write_chrome_trace)
 from repro.workloads.bert import build_bert
 
 REQUEST_BATCHES = [7, 12, 16, 20, 25, 32, 40, 50, 64, 70, 100, 128,
@@ -53,7 +54,7 @@ def main():
     with tempfile.NamedTemporaryFile(suffix=".trace.json",
                                      delete=False) as trace:
         path = trace.name
-    write_chrome_trace(profile, path)
+    write_chrome_trace(profile_to_chrome_trace(profile), path)
     print(f"\nwrote a chrome://tracing timeline of one request to "
           f"{path}")
     print(f"({profile.mem_kernel_count} stitched kernels, "

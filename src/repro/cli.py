@@ -291,8 +291,9 @@ def _fleet_specs(args) -> list:
 
 def cmd_serve(args) -> int:
     """Run one simulated load test and print the metrics report."""
+    from repro.runtime.trace import write_chrome_trace
     from repro.serving import (render_report, run_loadtest,
-                               write_report, write_serving_trace)
+                               serving_to_chrome_trace, write_report)
     workloads = _canonical_workloads(args.workloads)
     load = (workloads[0] if len(workloads) == 1
             else {name: args.qps for name in workloads})
@@ -307,7 +308,7 @@ def cmd_serve(args) -> int:
         write_report(report, args.output)
         print(f"wrote {args.output}")
     if args.trace:
-        write_serving_trace(result, args.trace)
+        write_chrome_trace(serving_to_chrome_trace(result), args.trace)
         print(f"wrote {args.trace} (load into chrome://tracing)")
     return 0
 
@@ -479,7 +480,8 @@ def cmd_passes(args) -> int:
 
     from repro.compilers.base import CompilationError
     from repro.compilers.tensorrt import UnsupportedWorkloadError
-    from repro.runtime.trace import write_pass_trace
+    from repro.runtime.trace import (pass_reports_to_chrome_trace,
+                                     write_chrome_trace)
 
     spec = DEVICES[args.device]
     names = list(COMPILERS) if args.compiler == "all" \
@@ -539,8 +541,8 @@ def cmd_passes(args) -> int:
             if len(runs) > 1:
                 path = path.with_name(
                     f"{path.stem}_{graph_name}_{name}{path.suffix}")
-            write_pass_trace(run.reports, str(path),
-                             pipeline=run.pipeline.name)
+            write_chrome_trace(pass_reports_to_chrome_trace(
+                run.reports, pipeline=run.pipeline.name), str(path))
             print(f"wrote {path} (load into chrome://tracing)")
     if violations:
         print(f"FAIL: {violations} pipeline violation(s)")

@@ -24,7 +24,7 @@ from repro.codegen.builder import kernel_cost_inputs, make_kernel
 from repro.codegen import mapping as mappings
 from repro.codegen.schedule import ThreadMapping
 from repro.gpu.costmodel import cost_model_for
-from repro.gpu.spec import V100
+from repro.gpu.spec import GPUSpec
 from repro.ir.graph import Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pipeline
@@ -38,42 +38,44 @@ from repro.pipeline.lowering import (
 ANSOR_TUNING_SECONDS = 2000.0
 
 
-def _candidate_mappings(root: Node) -> list[ThreadMapping]:
+def _candidate_mappings(root: Node, spec: GPUSpec) -> list[ThreadMapping]:
     """The schedule space Ansor searches for one fused kernel."""
     candidates: list[ThreadMapping] = []
     if root.kind is OpKind.REDUCE:
         rows, width = mappings.reduce_geometry(root.operands[0].shape,
                                                root.reduce_axes)
         if root.is_row_reduce():
-            candidates.append(mappings.naive_row_reduce(rows, width))
+            candidates.append(mappings.naive_row_reduce(rows, width, spec))
             # Horizontal row packing is inside Ansor's space; task
             # splitting (cross-block atomics) is not.  wave_limit=rows
             # disables both splitting and vertical packing.
             candidates.append(
-                mappings.adaptive_row_reduce(rows, width, V100,
+                mappings.adaptive_row_reduce(rows, width, spec,
                                              wave_limit=max(1, rows)))
         else:
-            candidates.append(mappings.naive_column_reduce(rows, width))
+            candidates.append(
+                mappings.naive_column_reduce(rows, width, spec))
     else:
         n = max(1, root.num_elements)
         for block in (128, 256, 512, 1024):
-            candidates.append(mappings.naive_elementwise(n, block))
+            if block <= spec.max_threads_per_block:
+                candidates.append(mappings.naive_elementwise(n, spec, block))
     return candidates
 
 
 def tuned_mapping_factory(state: CompileState) -> MappingFn:
     """The cost-model schedule search, closed over one compile's graph
     and device."""
-    graph = state.graph
+    graph, spec = state.graph, state.spec
     # The shared memoized model: tuning probes repeat launch
     # configurations heavily, within a compile and across compiles.
-    cost_model = cost_model_for(state.spec)
+    cost_model = cost_model_for(spec)
 
     def tuned_mapping(root: Node) -> ThreadMapping:
         # One vectorized pricing pass over the whole candidate set;
         # the winner is still the *first* strictly-better candidate,
         # exactly as the scalar loop picked it.
-        candidates = _candidate_mappings(root)
+        candidates = _candidate_mappings(root, spec)
         probes = [kernel_cost_inputs(make_kernel(graph, [root],
                                                  candidate,
                                                  outputs=[root]))

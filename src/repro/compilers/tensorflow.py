@@ -12,7 +12,7 @@ from typing import Any
 
 from repro.compilers.base import Compiler
 from repro.codegen.builder import make_kernel
-from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.codegen.mapping import naive_mapping, root_geometry
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pass, Pipeline
@@ -69,7 +69,7 @@ class OpPerKernelFormationPass(Pass):
                 continue
             state.kernels.append(make_kernel(
                 graph, view_closure(node),
-                heuristic_mapping(root_geometry(node)),
+                naive_mapping(root_geometry(node), state.spec),
                 name=f"op_{node.name}", outputs=[node]))
         return {"kernels": len(state.kernels),
                 "views_absorbed": absorbed}

@@ -392,9 +392,11 @@ def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
 
     Returns the tuned launch, the scope's verdict-cache key and the
     tuning cache itself (the caller stores the lowered best-of verdict
-    under that key so warm compiles lower each scope once).
+    under that key so warm compiles lower each scope once).  The key is
+    the tuple of the scope's group signatures, so any group change
+    re-opens the comparison.
     """
-    from repro.tuning import GroupTuner, signature_for_group
+    from repro.tuning import GroupTuner, TuningKey, signature_for_group
     tuner = GroupTuner(spec)
     sigs = [signature_for_group(group, needs_barrier)
             for group in analysis.groups]
@@ -408,7 +410,7 @@ def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
                  for group, decision in zip(analysis.groups, decisions)}
     tuned = unify_launch(analysis.groups, spec, needs_barrier,
                          overrides=overrides)
-    return tuned, tuner.scope_key(sigs), tuner.cache
+    return tuned, TuningKey(group=tuple(sigs), spec=spec), tuner.cache
 
 
 def same_launch(left: UnifiedLaunch, right: UnifiedLaunch) -> bool:

@@ -3,14 +3,13 @@
 Public surface:
 
 * :mod:`repro.pipeline.base` — :class:`Pass`, :class:`GraphPass`,
-  :class:`CompileState`, :class:`PassReport`, :class:`Pipeline` and the
-  pass registry;
+  :class:`CompileState`, :class:`PassReport` and :class:`Pipeline`;
 * :mod:`repro.pipeline.manager` — :class:`PassManager` /
   :class:`PipelineRun`, the instrumented runner;
 * :mod:`repro.pipeline.verify` — :func:`check_graph`, the inter-pass
   IR invariant checker over :func:`repro.ir.verify.verify_graph`;
 * :mod:`repro.pipeline.lowering` — the shared formation/lowering passes
-  every compiler composes (importing it registers them).
+  every compiler composes.
 """
 
 from repro.pipeline.base import (
@@ -19,9 +18,6 @@ from repro.pipeline.base import (
     Pass,
     PassReport,
     Pipeline,
-    get_pass,
-    register_pass,
-    registered_passes,
 )
 from repro.pipeline.lowering import (
     FinalizeModulePass,
@@ -53,11 +49,8 @@ __all__ = [
     "PipelineRun",
     "StepSchedulingPass",
     "check_graph",
-    "get_pass",
     "naive_mapping_factory",
     "optimized_pipeline",
-    "register_pass",
-    "registered_passes",
     "standard_tail",
     "verify_graph",
 ]

@@ -186,37 +186,3 @@ class Pipeline:
 
     def __len__(self) -> int:
         return len(self.passes)
-
-
-# -- registry ---------------------------------------------------------------------
-
-_REGISTRY: dict[str, Pass] = {}
-
-
-def register_pass(pass_obj: Pass, *, replace: bool = False) -> Pass:
-    """Register a pass instance under its name for lookup by name.
-
-    The registry backs ``repro passes`` listings and lets pipelines be
-    assembled declaratively from names.  Stateless pass instances are
-    shared; passes carrying configuration should be constructed per
-    pipeline instead of registered.
-    """
-    if not replace and pass_obj.name in _REGISTRY:
-        raise ValueError(f"pass {pass_obj.name!r} is already registered")
-    _REGISTRY[pass_obj.name] = pass_obj
-    return pass_obj
-
-
-def get_pass(name: str) -> Pass:
-    """Look a registered pass up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"no registered pass {name!r}; known: "
-            f"{', '.join(sorted(_REGISTRY))}") from None
-
-
-def registered_passes() -> dict[str, Pass]:
-    """A snapshot of the registry (name -> pass)."""
-    return dict(_REGISTRY)

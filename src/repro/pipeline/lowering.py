@@ -29,17 +29,12 @@ from repro.compilers.base import (
     framework_memcpys,
     order_steps,
 )
-from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.codegen.mapping import naive_mapping, root_geometry
 from repro.compilers.common import MappingFn, build_root_kernels
 from repro.ir import passes as ir_passes
 from repro.ir import patterns
 from repro.ir.graph import Graph, Node
-from repro.pipeline.base import (
-    CompileState,
-    Pass,
-    Pipeline,
-    register_pass,
-)
+from repro.pipeline.base import CompileState, Pass, Pipeline
 
 class FixpointSimplificationPass(Pass):
     """The retained simplification, run to its fixpoint.
@@ -67,8 +62,9 @@ MappingFactory = Callable[[CompileState], MappingFn]
 
 
 def naive_mapping_factory(state: CompileState) -> MappingFn:
-    """The fixed baseline thread-mapping rule (state-independent)."""
-    return lambda root: heuristic_mapping(root_geometry(root))
+    """The fixed baseline thread-mapping rule on ``state``'s device."""
+    spec = state.spec
+    return lambda root: naive_mapping(root_geometry(root), spec)
 
 
 class FusionKernelFormationPass(Pass):
@@ -215,9 +211,3 @@ def optimized_pipeline(pipeline: Pipeline) -> Pipeline:
     return Pipeline(
         name=f"{pipeline.name}+simplify",
         passes=(FixpointSimplificationPass(), *pipeline.passes))
-
-
-register_pass(FixpointSimplificationPass())
-register_pass(LibraryDispatchPass())
-register_pass(StepSchedulingPass())
-register_pass(MemcpyPlanningPass())

@@ -49,7 +49,6 @@ from repro.serving.metrics import (
     report,
     serving_to_chrome_trace,
     write_report,
-    write_serving_trace,
 )
 from repro.serving.harness import (
     CapacityPoint,
@@ -82,7 +81,6 @@ __all__ = [
     "report",
     "serving_to_chrome_trace",
     "write_report",
-    "write_serving_trace",
     "CapacityPoint",
     "CapacityResult",
     "max_sustainable_qps",

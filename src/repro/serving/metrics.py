@@ -4,10 +4,9 @@ Distills a :class:`~repro.serving.cluster.ServingResult` into the
 numbers an operator tunes against — p50/p95/p99 latency (via the shared
 :mod:`repro.analysis.stats` helpers), sustained throughput, SLO
 violation rate, batch-size histogram, queue depth and per-worker
-utilization — and exports them as JSON or as a Chrome trace following
-the :mod:`repro.runtime.trace` conventions (``traceEvents`` with one
-track per GPU worker, a host track for queue-depth counters,
-``displayTimeUnit`` and an ``otherData`` summary block).
+utilization — and exports them as JSON or as a Chrome trace built by
+:mod:`repro.runtime.trace` (one track per GPU worker and a host track
+for queue-depth counters).
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import json
 from typing import Any
 
 from repro.analysis.stats import Summary, mean, summarize
+from repro.runtime.trace import chrome_trace, complete_event
 from repro.serving.cluster import ServingResult
 
 
@@ -164,55 +164,29 @@ def write_report(summary: ServingReport, path: str) -> None:
 def serving_to_chrome_trace(result: ServingResult) -> dict[str, Any]:
     """Chrome-trace dict: one track per worker, queue depth as counter.
 
-    Follows :mod:`repro.runtime.trace` conventions — complete events
-    (``"ph": "X"``) with microsecond timestamps, worker ``w<id>`` tracks
-    from tid 1, the admission queue as a counter (``"ph": "C"``) on the
-    host track 0, and an ``otherData`` summary block.
+    Built with the :mod:`repro.runtime.trace` helpers — complete events
+    with microsecond timestamps, worker ``w<id>`` tracks from tid 1, the
+    admission queue as a counter (``"ph": "C"``) on the host track 0,
+    and an ``otherData`` summary block.
     """
-    events: list[dict[str, Any]] = []
+    events = []
     for execution in result.executions:
         batch = execution.batch
-        events.append({
-            "name": f"{batch.workload} x{batch.size}"
-                    f"(b{batch.bucket})",
-            "cat": "batch",
-            "ph": "X",
-            "ts": execution.start * 1e6,
-            "dur": max(0.0, execution.duration * 1e6),
-            "pid": 0,
-            "tid": execution.worker + 1,
-            "args": {
+        events.append(complete_event(
+            f"{batch.workload} x{batch.size}(b{batch.bucket})", "batch",
+            execution.start * 1e6, max(0.0, execution.duration * 1e6),
+            execution.worker + 1, {
                 "batch": batch.uid,
                 "size": batch.size,
                 "bucket": batch.bucket,
                 "queued_us": round(
                     (execution.start - batch.formed_at) * 1e6, 1),
-            },
-        })
+            }))
     for time, depth in result.queue_samples:
-        events.append({
-            "name": "queue depth",
-            "cat": "queue",
-            "ph": "C",
-            "ts": time * 1e6,
-            "pid": 0,
-            "tid": 0,
-            "args": {"depth": depth},
-        })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "compiler": result.compiler,
-            "policy": result.policy,
-            "workers": {f"w{w.uid}": w.spec.name
-                        for w in result.workers},
-            "makespan_ms": round(result.makespan * 1e3, 4),
-        },
-    }
-
-
-def write_serving_trace(result: ServingResult, path: str) -> None:
-    """Serialize the serving trace for chrome://tracing / Perfetto."""
-    with open(path, "w") as handle:
-        json.dump(serving_to_chrome_trace(result), handle, indent=1)
+        events.append({"name": "queue depth", "cat": "queue", "ph": "C",
+                       "ts": time * 1e6, "pid": 0, "tid": 0,
+                       "args": {"depth": depth}})
+    return chrome_trace(
+        events, compiler=result.compiler, policy=result.policy,
+        workers={f"w{w.uid}": w.spec.name for w in result.workers},
+        makespan_ms=round(result.makespan * 1e3, 4))

@@ -1,9 +1,9 @@
 """Persistent, content-addressed tuning cache.
 
 A tuned launch configuration is a pure function of two things: the
-*group fingerprint* (a content digest of everything the candidate search
-reads from a schedule group — dominant kind, reduce geometry, proxy
-traffic, barrier/legality context) and the device :class:`GPUSpec`.
+*group signature* (everything the candidate search reads from a
+schedule group — dominant kind, reduce geometry, proxy traffic,
+barrier/legality context) and the device :class:`GPUSpec`.
 No compiler switch reaches the search: every configuration that tunes
 searches the same space.  This module stores the winning
 decision under exactly that key, so a shape that was tuned once — by any
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any
+from typing import Any, Hashable
 
 from repro.gpu.spec import GPUSpec
 from repro.store import ProcessDefault, TieredStore
@@ -28,7 +28,7 @@ from repro.store import ProcessDefault, TieredStore
 # Bump on any change to the decision payload, the candidate space, the
 # signature encoding or the key composition; invalidates every
 # persisted tuning entry at once.
-TUNING_FORMAT_VERSION = 2
+TUNING_FORMAT_VERSION = 3
 
 # Decisions are tiny (one ThreadMapping plus a few floats); thousands of
 # distinct group shapes fit in a few MB.
@@ -40,18 +40,19 @@ class TuningKey:
     """Full address of one tuned launch decision.
 
     Attributes:
-        group: Content digest of the group's tuning signature
-            (:meth:`repro.tuning.tuner.GroupSignature.digest`).
+        group: The group's :class:`~repro.tuning.tuner.GroupSignature`,
+            or the tuple of a scope's signatures for a scope-level
+            verdict — by value, like ``spec``.
         spec: Device spec, by value — any field change is a miss.
     """
 
-    group: str
+    group: Hashable
     spec: GPUSpec
 
     def digest(self) -> str:
         """Stable hex digest — the persistent tier's file name."""
         text = "|".join([
-            f"tune-v{TUNING_FORMAT_VERSION}", self.group,
+            f"tune-v{TUNING_FORMAT_VERSION}", repr(self.group),
             repr(dataclasses.astuple(self.spec)),
         ])
         return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -37,7 +37,6 @@ fully-lowered kernels.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from collections.abc import Sequence
 from typing import Optional
 
@@ -49,7 +48,6 @@ from repro.gpu.costmodel import (KernelCostInputs, KernelCostModel,
                                  cost_model_for)
 from repro.gpu.spec import GPUSpec
 from repro.ir.ops import OpKind
-from repro.store import TieredStore, register
 from repro.tuning import space
 from repro.tuning.cache import TuningCache, TuningKey, default_tuning_cache
 
@@ -64,7 +62,7 @@ class GroupSignature:
     """Everything the candidate search reads from one schedule group.
 
     Two groups with equal signatures get — by construction — identical
-    candidate sets and identical proxy prices, so the signature digest
+    candidate sets and identical proxy prices, so the signature itself
     is the tuning cache's content address.
 
     Attributes:
@@ -93,21 +91,6 @@ class GroupSignature:
         """The dominant's :func:`~repro.codegen.mapping.root_geometry`."""
         return RootGeometry(MappingKind(self.kind), self.rows, self.width,
                             self.num_elements)
-
-    def digest(self) -> str:
-        # Hot on warm compiles (every scope of every compile digests its
-        # signatures for cache addressing), so memoized by value.
-        cached = _DIGEST_MEMO.get(self)
-        if cached is None:
-            text = repr(dataclasses.astuple(self))
-            cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            _DIGEST_MEMO.put(self, cached)
-        return cached
-
-
-# Distinct signatures are few (shapes repeat heavily across scopes);
-# the LRU bound is a runaway backstop, not a working-set tune.
-_DIGEST_MEMO = register("tuning-digests", TieredStore(capacity=65536))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,7 +229,7 @@ class GroupTuner:
         for sig in sigs:
             if sig in decisions:
                 continue
-            key = TuningKey(group=sig.digest(), spec=self.spec)
+            key = TuningKey(group=sig, spec=self.spec)
             cached = self.cache.get(key)
             if cached is not None:
                 decisions[sig] = cached
@@ -282,14 +265,6 @@ class GroupTuner:
         tuned = self.tune_signatures(sigs)
         return {group.group_id: decision
                 for group, decision in zip(groups, tuned)}
-
-    def scope_key(self, sigs: Sequence[GroupSignature]) -> TuningKey:
-        """Cache key for a *scope-level* decision (e.g. the compiler's
-        lowered best-of verdict): the ordered group signatures jointly
-        address it, so any group change re-opens the comparison."""
-        text = "scope|" + "|".join(sig.digest() for sig in sigs)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return TuningKey(group=f"scope:{digest}", spec=self.spec)
 
     # -- internals ----------------------------------------------------------
 

@@ -93,7 +93,8 @@ class TestChromeTrace:
 
     def test_write_json(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(self._profile(), str(path))
+        write_chrome_trace(profile_to_chrome_trace(self._profile()),
+                           str(path))
         loaded = json.loads(path.read_text())
         assert "traceEvents" in loaded
         assert loaded["otherData"]["module"] == "AStitch"

@@ -13,6 +13,7 @@ from repro.codegen.executor import ExecutionError, ModuleExecutor
 from repro.codegen.kernel import LibraryCall, MemcpyCall
 from repro.codegen import mapping
 from repro.gpu.memory import MemorySpace
+from repro.gpu.spec import V100
 from repro.ir.builder import GraphBuilder
 from repro.ir.interpreter import evaluate, random_feeds
 
@@ -33,7 +34,7 @@ class TestMakeKernel:
     def test_input_output_inference(self):
         g = softmax_graph()
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        m = mapping.naive_elementwise(4 * 64)
+        m = mapping.naive_elementwise(4 * 64, V100)
         k = make_kernel(g, nodes, m)
         assert [n.name for n in k.inputs] == ["x"]
         assert [n.name for n in k.outputs] == [g.outputs[0].name]
@@ -43,20 +44,20 @@ class TestMakeKernel:
         g = softmax_graph()
         reduce_max = next(n for n in g.nodes if n.kind is OpKind.REDUCE
                           and n.reduce_kind is ReduceKind.MAX)
-        m = mapping.naive_row_reduce(4, 64)
+        m = mapping.naive_row_reduce(4, 64, V100)
         k = make_kernel(g, [reduce_max], m)
         assert k.outputs == (reduce_max,)
 
     def test_parameter_in_nodes_rejected(self):
         g = softmax_graph()
-        m = mapping.naive_elementwise(1)
+        m = mapping.naive_elementwise(1, V100)
         with pytest.raises(ValueError):
             make_kernel(g, [g.parameters[0]], m)
 
     def test_empty_kernel_rejected(self):
         g = softmax_graph()
         with pytest.raises(ValueError):
-            make_kernel(g, [], mapping.naive_elementwise(1))
+            make_kernel(g, [], mapping.naive_elementwise(1, V100))
 
     def test_scalar_constants_are_immediates(self):
         b = GraphBuilder()
@@ -65,7 +66,7 @@ class TestMakeKernel:
         b.output(y)
         g = b.build()
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        k = make_kernel(g, nodes, mapping.naive_elementwise(8))
+        k = make_kernel(g, nodes, mapping.naive_elementwise(8, V100))
         assert [n.name for n in k.inputs] == ["x"]
 
 
@@ -83,7 +84,7 @@ class TestCostInputs:
     def test_traffic_single_kernel(self):
         g = softmax_graph(4, 64)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        k = make_kernel(g, nodes, mapping.naive_elementwise(256))
+        k = make_kernel(g, nodes, mapping.naive_elementwise(256, V100))
         inputs = kernel_cost_inputs(k)
         assert inputs.bytes_read == 4 * 64 * 4        # x once
         assert inputs.bytes_written == 4 * 64 * 4     # softmax once
@@ -92,9 +93,10 @@ class TestCostInputs:
         g = softmax_graph(4, 64)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
         reduce_node = next(n for n in nodes if n.kind.value == "reduce")
-        k_local = make_kernel(g, nodes, mapping.naive_elementwise(256))
+        k_local = make_kernel(g, nodes,
+                              mapping.naive_elementwise(256, V100))
         k_global = make_kernel(
-            g, nodes, mapping.naive_elementwise(256),
+            g, nodes, mapping.naive_elementwise(256, V100),
             placements={reduce_node: MemorySpace.GLOBAL})
         local_io = kernel_cost_inputs(k_local)
         global_io = kernel_cost_inputs(k_global)
@@ -106,7 +108,7 @@ class TestCostInputs:
         g = softmax_graph(4, 64)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
         reduce_node = next(n for n in nodes if n.kind.value == "reduce")
-        k = make_kernel(g, nodes, mapping.naive_elementwise(256),
+        k = make_kernel(g, nodes, mapping.naive_elementwise(256, V100),
                         placements={reduce_node: MemorySpace.SHARED})
         assert kernel_smem_bytes(k) > 0
         io = kernel_cost_inputs(k)
@@ -116,8 +118,8 @@ class TestCostInputs:
         g = softmax_graph(4, 64)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
         exp_node = next(n for n in nodes if n.kind.value == "exp")
-        k1 = make_kernel(g, nodes, mapping.naive_elementwise(256))
-        k2 = make_kernel(g, nodes, mapping.naive_elementwise(256),
+        k1 = make_kernel(g, nodes, mapping.naive_elementwise(256, V100))
+        k2 = make_kernel(g, nodes, mapping.naive_elementwise(256, V100),
                          redundancy={exp_node: 64.0})
         base = kernel_cost_inputs(k1).fp_instructions
         inflated = kernel_cost_inputs(k2).fp_instructions
@@ -126,7 +128,6 @@ class TestCostInputs:
     def test_splitting_mapping_reports_atomics(self):
         g = softmax_graph(4, 64)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        from repro.gpu.spec import V100
         m = mapping.adaptive_row_reduce(64, 30_000, V100)
         k = make_kernel(g, nodes, m)
         assert kernel_cost_inputs(k).num_atomic_rounds == 1
@@ -136,7 +137,7 @@ class TestExecutor:
     def test_single_kernel_matches_interpreter(self):
         g = softmax_graph(3, 17)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        k = make_kernel(g, nodes, mapping.naive_elementwise(64))
+        k = make_kernel(g, nodes, mapping.naive_elementwise(64, V100))
         feeds = random_feeds(g, seed=3)
         got = ModuleExecutor(g, [k]).run(feeds)
         want = evaluate(g, feeds)
@@ -151,8 +152,9 @@ class TestExecutor:
                           and n.reduce_kind is ReduceKind.MAX)
         rest = [n for n in g.nodes
                 if n.kind.value != "parameter" and n is not reduce_max]
-        k1 = make_kernel(g, [reduce_max], mapping.naive_row_reduce(3, 17))
-        k2 = make_kernel(g, rest, mapping.naive_elementwise(64))
+        k1 = make_kernel(g, [reduce_max],
+                         mapping.naive_row_reduce(3, 17, V100))
+        k2 = make_kernel(g, rest, mapping.naive_elementwise(64, V100))
         feeds = random_feeds(g, seed=4)
         got = ModuleExecutor(g, [k1, k2]).run(feeds)
         want = evaluate(g, feeds)
@@ -167,7 +169,7 @@ class TestExecutor:
         rest = [n for n in g.nodes
                 if n.kind.value != "parameter" and n is not reduce_max]
         # Kernel for `rest` but the producer kernel never runs.
-        k2 = make_kernel(g, rest, mapping.naive_elementwise(64))
+        k2 = make_kernel(g, rest, mapping.naive_elementwise(64, V100))
         with pytest.raises(ExecutionError):
             ModuleExecutor(g, [k2]).run(random_feeds(g))
 
@@ -176,7 +178,8 @@ class TestExecutor:
         g = softmax_graph(3, 17)
         reduce_max = next(n for n in g.nodes if n.kind is OpKind.REDUCE
                           and n.reduce_kind is ReduceKind.MAX)
-        k1 = make_kernel(g, [reduce_max], mapping.naive_row_reduce(3, 17))
+        k1 = make_kernel(g, [reduce_max],
+                         mapping.naive_row_reduce(3, 17, V100))
         with pytest.raises(ExecutionError):
             ModuleExecutor(g, [k1]).run(random_feeds(g))
 
@@ -189,7 +192,7 @@ class TestExecutor:
         out2 = b.log(a)
         b.output(out1, out2)
         g = b.build()
-        m = mapping.naive_elementwise(8)
+        m = mapping.naive_elementwise(8, V100)
         k1 = make_kernel(g, [a, out1], m, outputs=[out1])
         k2 = make_kernel(g, [a, out2], m, outputs=[out2])
         feeds = random_feeds(g, seed=5)
@@ -207,7 +210,7 @@ class TestExecutor:
         out = b.relu(d)
         b.output(out)
         g = b.build()
-        m = mapping.naive_elementwise(32)
+        m = mapping.naive_elementwise(32, V100)
         k1 = make_kernel(g, [t], m)
         k2 = make_kernel(g, [out], m)
         feeds = random_feeds(g, seed=6)
@@ -218,7 +221,7 @@ class TestExecutor:
     def test_memcpy_step_is_noop(self):
         g = softmax_graph(2, 4)
         nodes = [n for n in g.nodes if n.kind.value != "parameter"]
-        k = make_kernel(g, nodes, mapping.naive_elementwise(8))
+        k = make_kernel(g, nodes, mapping.naive_elementwise(8, V100))
         feeds = random_feeds(g)
         got = ModuleExecutor(g, [MemcpyCall(64), k]).run(feeds)
         assert set(got) == {g.outputs[0].name}

@@ -5,8 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen import mapping
 from repro.codegen.schedule import MappingKind, ThreadMapping
+from repro.compilers import (AnsorCompiler, CudaGraphCompiler,
+                             FusionStitchingCompiler, TensorFlowCompiler,
+                             TensorRTCompiler, TVMCompiler, XLACompiler)
+from repro.core import AStitchCompiler
 from repro.gpu.occupancy import achieved_occupancy
 from repro.gpu.spec import V100
+from repro.runtime import Engine
+from repro.workloads import registry
 
 
 class TestThreadMapping:
@@ -46,24 +52,24 @@ class TestThreadMapping:
 class TestNaiveMappings:
     def test_fig6a_shape(self):
         # XLA on <750000,32>: 750k blocks of 32 threads.
-        m = mapping.naive_row_reduce(750_000, 32)
+        m = mapping.naive_row_reduce(750_000, 32, V100)
         assert m.grid_size == 750_000
         assert m.block_size == 32
         assert achieved_occupancy(V100, m.grid_size, m.block_size) <= 0.5
 
     def test_fig6b_shape(self):
         # XLA on <64,30000>: 64 blocks of 1024 threads.
-        m = mapping.naive_row_reduce(64, 30_000)
+        m = mapping.naive_row_reduce(64, 30_000, V100)
         assert m.grid_size == 64
         assert m.block_size == 1024
 
     def test_naive_elementwise(self):
-        m = mapping.naive_elementwise(1000, block_size=256)
+        m = mapping.naive_elementwise(1000, V100, block_size=256)
         assert m.grid_size == 4
         assert m.block_size == 256
 
     def test_naive_column_reduce(self):
-        m = mapping.naive_column_reduce(1000, 32)
+        m = mapping.naive_column_reduce(1000, 32, V100)
         assert m.kind is MappingKind.COLUMN_REDUCE
         assert m.grid_size == 125
 
@@ -87,7 +93,7 @@ class TestAdaptiveMappings:
         assert m.uses_atomics
 
     def test_adaptive_improves_occupancy_fig6a(self):
-        naive = mapping.naive_row_reduce(750_000, 32)
+        naive = mapping.naive_row_reduce(750_000, 32, V100)
         adaptive = mapping.adaptive_row_reduce(750_000, 32, V100)
         occ_naive = achieved_occupancy(V100, naive.grid_size,
                                        naive.block_size)
@@ -201,3 +207,20 @@ def dataclasses_replace_max_threads(limit):
     import dataclasses
     return dataclasses.replace(V100, name=f"V100-{limit}",
                                max_threads_per_block=limit)
+
+
+class TestDeviceBlockCeiling:
+    """Every compiler, naive or adaptive, maps within the device's
+    ``max_threads_per_block``."""
+
+    @pytest.mark.parametrize("workload", registry.inference_workloads())
+    def test_registry_plans_on_512_thread_device(self, workload):
+        small = dataclasses_replace_max_threads(512)
+        graph = registry.build_cached(workload)
+        for compiler in (TensorFlowCompiler, XLACompiler, TVMCompiler,
+                         TensorRTCompiler, AnsorCompiler, CudaGraphCompiler,
+                         FusionStitchingCompiler, AStitchCompiler):
+            module = compiler().compile(graph, small)
+            assert Engine(small).plan(module).total_time > 0
+            assert max(kernel.mapping.block_size
+                       for kernel in module.kernels()) <= 512

@@ -9,7 +9,8 @@ from repro.compilers.common import (
     tvm_fusion_roots,
     xla_fusion_roots,
 )
-from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.codegen.mapping import naive_mapping, root_geometry
+from repro.gpu.spec import V100
 from repro.ir.builder import GraphBuilder
 from repro.ir import patterns
 from repro.ir.ops import OpKind
@@ -141,9 +142,9 @@ class TestNaiveMappingFor:
         b.output(row)
         b.output(col)
         from repro.codegen.schedule import MappingKind
-        assert heuristic_mapping(root_geometry(row)).kind \
+        assert naive_mapping(root_geometry(row), V100).kind \
             is MappingKind.ROW_REDUCE
-        assert heuristic_mapping(root_geometry(col)).kind \
+        assert naive_mapping(root_geometry(col), V100).kind \
             is MappingKind.COLUMN_REDUCE
 
     def test_elementwise_dispatch(self):
@@ -152,7 +153,7 @@ class TestNaiveMappingFor:
         t = b.tanh(x)
         b.output(t)
         from repro.codegen.schedule import MappingKind
-        assert heuristic_mapping(root_geometry(t)).kind \
+        assert naive_mapping(root_geometry(t), V100).kind \
             is MappingKind.ELEMENTWISE
 
 
@@ -168,7 +169,7 @@ class TestBuildRootKernels:
         roots = xla_fusion_roots(graph, component)
         kernels = build_root_kernels(
             graph, component, roots,
-            lambda root: heuristic_mapping(root_geometry(root)))
+            lambda root: naive_mapping(root_geometry(root), V100))
         for kernel in kernels:
             assert len(kernel.outputs) == 1
             assert kernel.outputs[0] in roots

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.codegen.schedule import MappingKind
-from repro.codegen.mapping import heuristic_mapping, root_geometry
+from repro.codegen.mapping import (heuristic_mapping, naive_mapping,
+                                   root_geometry)
 from repro.core.adaptive import UnifiedLaunch, unify_launch
 from repro.core.dominants import analyze_scope
 from repro.core.scope import identify_stitch_scopes
@@ -33,7 +34,7 @@ class TestDominantMapping:
 
     def test_row_reduce_naive(self):
         node = self._reduce_node(750_000, 32)
-        mapping = heuristic_mapping(root_geometry(node))
+        mapping = naive_mapping(root_geometry(node), V100)
         assert mapping.grid_size == 750_000
         assert mapping.block_size == 32
 

@@ -7,7 +7,7 @@ from repro.gpu.spec import V100
 
 class TestRenderMapping:
     def test_naive_row_reduce(self):
-        m = mappings.naive_row_reduce(750_000, 32)
+        m = mappings.naive_row_reduce(750_000, 32, V100)
         text = render_mapping(m)
         assert "one block per row" in text
         assert "..." in text
@@ -30,12 +30,12 @@ class TestRenderMapping:
         assert "elements ->" in text
 
     def test_small_grid_no_ellipsis(self):
-        m = mappings.naive_elementwise(256, block_size=256)
+        m = mappings.naive_elementwise(256, V100, block_size=256)
         text = render_mapping(m)
         assert "..." not in text
 
     def test_comparison(self):
-        naive = mappings.naive_row_reduce(64, 30_000)
+        naive = mappings.naive_row_reduce(64, 30_000, V100)
         adaptive = mappings.adaptive_row_reduce(64, 30_000, V100)
         text = render_comparison(naive, adaptive)
         assert "naive (Fig 6)" in text

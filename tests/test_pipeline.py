@@ -1,7 +1,7 @@
 """Tests for the pass/pipeline abstraction and its manager.
 
 Covers the mechanics every compiler now rides on: pass signatures and
-pipeline fingerprints, the registry, the instrumented ``PassManager``
+pipeline fingerprints, the instrumented ``PassManager``
 run (reports, module provenance, error annotation), the inter-pass IR
 validation, and the :class:`~repro.compilers.base.CompilationError`
 context protocol.
@@ -20,9 +20,6 @@ from repro.pipeline import (
     Pass,
     PassManager,
     Pipeline,
-    get_pass,
-    register_pass,
-    registered_passes,
     verify_graph,
 )
 from repro.pipeline.verify import check_graph
@@ -84,27 +81,6 @@ class TestSignatures:
             ("param-pass", "lower", "param-pass@v1(knob=3)"),
         ]
         assert len(pipeline) == 2
-
-
-class TestRegistry:
-    def test_shared_passes_are_registered(self):
-        names = registered_passes()
-        for expected in ("simplify-fixpoint", "library-dispatch",
-                         "schedule-steps", "plan-memcpys"):
-            assert expected in names
-
-    def test_duplicate_registration_raises(self):
-        p = _ParamPass()
-        p.name = "test-pipeline-unique"
-        register_pass(p)
-        with pytest.raises(ValueError, match="already registered"):
-            register_pass(p)
-        assert register_pass(p, replace=True) is p
-        assert get_pass("test-pipeline-unique") is p
-
-    def test_unknown_pass_lookup(self):
-        with pytest.raises(KeyError, match="no registered pass"):
-            get_pass("no-such-pass")
 
 
 class TestPassManager:
@@ -279,7 +255,7 @@ class TestCompilerIntegration:
         import json
 
         from repro.runtime.trace import (pass_reports_to_chrome_trace,
-                                         write_pass_trace)
+                                         write_chrome_trace)
 
         graph = micro.softmax_graph(64, 64)
         run = XLACompiler().run_pipeline(graph, V100)
@@ -295,7 +271,7 @@ class TestCompilerIntegration:
             assert event["ts"] == pytest.approx(cursor)
             cursor += event["dur"]
         path = tmp_path / "passes.json"
-        write_pass_trace(run.reports, str(path), pipeline="xla")
+        write_chrome_trace(trace, str(path))
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(trace))  # round-trips as plain JSON
 

@@ -1,14 +1,22 @@
 """Tests for Chrome-trace export (runtime/trace.py)."""
 
 import json
+import pathlib
+
+import pytest
 
 from repro.compilers import XLACompiler
 from repro.core import AStitchCompiler
+from repro.gpu.spec import V100
 from repro.runtime.engine import Engine
+from repro.runtime.timeline import schedule
 from repro.runtime.trace import (
+    pass_reports_to_chrome_trace,
     profile_to_chrome_trace,
+    timeline_to_chrome_trace,
     write_chrome_trace,
 )
+from repro.serving import run_loadtest, serving_to_chrome_trace
 from repro.workloads import micro
 
 
@@ -104,8 +112,51 @@ class TestCounterArgs:
     def test_write_chrome_trace_is_loadable_json(self, tmp_path):
         profile = _profile()
         path = tmp_path / "trace.json"
-        write_chrome_trace(profile, str(path))
+        write_chrome_trace(profile_to_chrome_trace(profile), str(path))
         decoded = json.loads(path.read_text())
         assert decoded["displayTimeUnit"] == "ns"
         assert decoded["otherData"]["graph"] == profile.graph_name
         assert len(decoded["traceEvents"]) >= profile.mem_kernel_count
+
+
+def _plan_trace():
+    return profile_to_chrome_trace(_profile())
+
+
+def _pass_trace():
+    run = XLACompiler().run_pipeline(micro.softmax_graph(64, 64), V100)
+    return pass_reports_to_chrome_trace(run.reports, pipeline="xla")
+
+
+def _timeline_trace():
+    module = XLACompiler().compile(micro.fig7_subgraph(128, 64))
+    return timeline_to_chrome_trace(schedule(module, num_streams=2))
+
+
+def _serving_trace():
+    result, _ = run_loadtest("BERT", qps=40, duration=1, seed=3,
+                             specs=[V100, V100])
+    return serving_to_chrome_trace(result)
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("build", [_plan_trace, _pass_trace,
+                                       _timeline_trace, _serving_trace],
+                             ids=["plan", "passes", "timeline", "serving"])
+    def test_writer_round_trips_every_trace(self, build, tmp_path):
+        trace = build()
+        assert list(trace) == ["traceEvents", "displayTimeUnit",
+                               "otherData"]
+        assert trace["traceEvents"]
+        path = tmp_path / "trace.json"
+        write_chrome_trace(trace, str(path))
+        assert json.loads(path.read_text()) == trace
+
+    def test_one_envelope_builder_in_src(self):
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        builders = [str(path.relative_to(root))
+                    for path in sorted(root.rglob("*.py"))
+                    for _ in range(path.read_text().count(
+                        '"displayTimeUnit"'))]
+        assert builders == ["runtime/trace.py"]

@@ -139,8 +139,11 @@ class TestDeterminism:
                                        key=lambda m: m.sort_key())
 
     def test_signature_digest_stable(self):
-        assert row_reduce_sig().digest() == row_reduce_sig().digest()
-        assert row_reduce_sig().digest() != elementwise_sig().digest()
+        def digest(sig):
+            return TuningKey(group=sig, spec=V100).digest()
+
+        assert digest(row_reduce_sig()) == digest(row_reduce_sig())
+        assert digest(row_reduce_sig()) != digest(elementwise_sig())
 
     def test_batch_matches_one_by_one(self):
         sigs = [row_reduce_sig(), elementwise_sig(),
@@ -155,7 +158,7 @@ class TestDeterminism:
 class TestTuningCache:
     def _key(self, sig=None, spec=V100):
         sig = sig if sig is not None else row_reduce_sig()
-        return TuningKey(group=sig.digest(), spec=spec)
+        return TuningKey(group=sig, spec=spec)
 
     def _decision(self):
         sig = row_reduce_sig()
@@ -225,6 +228,8 @@ class TestTuningCache:
         assert base.digest() == self._key().digest()
         assert base.digest() != self._key(spec=T4).digest()
         assert base.digest() != self._key(sig=elementwise_sig()).digest()
+        scope = TuningKey(group=(row_reduce_sig(),), spec=V100)
+        assert base.digest() != scope.digest()
 
 
 class TestCompilerIntegration:

@@ -22,6 +22,7 @@ from repro.compilers.verify import (
     verify_module,
 )
 from repro.core import AStitchCompiler, AStitchConfig
+from repro.gpu.spec import V100
 from repro.workloads import build, micro
 
 from tests.test_property_compilers import random_graphs
@@ -106,7 +107,7 @@ class TestViolationsDetected:
         # that no step stores.
         tail = mem_nodes[len(mem_nodes) // 2:]
         kernel = make_kernel(graph, tail,
-                             mappings.naive_elementwise(64 * 32))
+                             mappings.naive_elementwise(64 * 32, V100))
         errors = collect_violations(
             CompiledModule(graph, [kernel], "broken"))
         assert any("before any store" in e for e in errors)
