@@ -412,7 +412,7 @@ def cmd_tune(args) -> int:
     from repro.core.config import AStitchConfig
     from repro.core.dominants import analyze_scope
     from repro.core.scope import identify_stitch_scopes
-    from repro.tuning import GroupTuner
+    from repro.tuning import GroupTuner, signature_for_group
 
     spec = DEVICES[args.device]
     engine = Engine(spec)
@@ -428,9 +428,10 @@ def cmd_tune(args) -> int:
             analysis = analyze_scope(graph, scope.nodes)
             needs_barrier = (analysis.stages > 1
                              and config.enable_global_scheme)
-            decisions = tuner.tune_groups(analysis.groups, needs_barrier)
-            for group in analysis.groups:
-                decision = decisions[group.group_id]
+            decisions = tuner.tune_signatures(
+                [signature_for_group(group, needs_barrier)
+                 for group in analysis.groups])
+            for group, decision in zip(analysis.groups, decisions):
                 candidates_total += decision.num_candidates
                 rows.append([
                     f"s{scope.scope_id}/g{group.group_id}",

@@ -16,8 +16,6 @@ AStitch) and loses the launch-overhead war.
 
 from __future__ import annotations
 
-import math
-
 from repro.compilers.base import Compiler
 from repro.compilers.common import MappingFn, tvm_fusion_roots
 from repro.codegen.builder import kernel_cost_inputs, make_kernel
@@ -73,21 +71,15 @@ def tuned_mapping_factory(state: CompileState) -> MappingFn:
 
     def tuned_mapping(root: Node) -> ThreadMapping:
         # One vectorized pricing pass over the whole candidate set;
-        # the winner is still the *first* strictly-better candidate,
-        # exactly as the scalar loop picked it.
+        # min keeps the *first* of tied candidates.
         candidates = _candidate_mappings(root, spec)
         probes = [kernel_cost_inputs(make_kernel(graph, [root],
                                                  candidate,
                                                  outputs=[root]))
                   for candidate in candidates]
-        best = None
-        best_time = math.inf
-        for candidate, time in zip(candidates,
-                                   cost_model.price_durations(probes)):
-            if time < best_time:
-                best_time = time
-                best = candidate
-        return best
+        priced = cost_model.price_batch(probes)
+        return min(zip(priced, candidates),
+                   key=lambda pair: pair[0].duration)[1]
 
     return tuned_mapping
 

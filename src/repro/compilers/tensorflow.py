@@ -13,7 +13,7 @@ from typing import Any
 from repro.compilers.base import Compiler
 from repro.codegen.builder import make_kernel
 from repro.codegen.mapping import naive_mapping, root_geometry
-from repro.ir.graph import Graph, Node
+from repro.ir.graph import Node
 from repro.ir.ops import OpKind
 from repro.pipeline.base import CompileState, Pass, Pipeline
 from repro.pipeline.lowering import FinalizeModulePass, standard_tail

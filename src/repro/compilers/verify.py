@@ -20,7 +20,7 @@ Checked invariants:
 
 from __future__ import annotations
 
-from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
+from repro.codegen.kernel import Kernel, MemcpyCall
 from repro.compilers.base import CompiledModule
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.ops import OpKind

@@ -386,33 +386,6 @@ def rebind_kernel(kernel: Kernel, to: dict[Node, Node], name: str) -> Kernel:
 # -- tuning ----------------------------------------------------------------------
 
 
-def tuned_launch_for(analysis: ScopeAnalysis, spec: GPUSpec,
-                     needs_barrier: bool):
-    """Autotune the scope's groups and unify the winning mappings.
-
-    Returns the tuned launch, the scope's verdict-cache key and the
-    tuning cache itself (the caller stores the lowered best-of verdict
-    under that key so warm compiles lower each scope once).  The key is
-    the tuple of the scope's group signatures, so any group change
-    re-opens the comparison.
-    """
-    from repro.tuning import GroupTuner, TuningKey, signature_for_group
-    tuner = GroupTuner(spec)
-    sigs = [signature_for_group(group, needs_barrier)
-            for group in analysis.groups]
-    decisions = tuner.tune_signatures(sigs)
-    if all(decision.mapping == decision.heuristic_mapping
-           for decision in decisions):
-        # Every group keeps its heuristic: the override unification
-        # would reproduce the caller's launch bit for bit.
-        return None, None, tuner.cache
-    overrides = {group.group_id: decision.mapping
-                 for group, decision in zip(analysis.groups, decisions)}
-    tuned = unify_launch(analysis.groups, spec, needs_barrier,
-                         overrides=overrides)
-    return tuned, TuningKey(group=tuple(sigs), spec=spec), tuner.cache
-
-
 def same_launch(left: UnifiedLaunch, right: UnifiedLaunch) -> bool:
     """Whether two unified launches lower identically."""
     return (left.group_mappings == right.group_mappings
@@ -688,17 +661,38 @@ class LaunchTuningPass(Pass):
 
     def run(self, state: CompileState) -> dict[str, Any]:
         from repro.runtime.engine import Engine
+        from repro.tuning import GroupTuner, TuningKey, signature_for_group
         cfg = self.config
         engine = Engine(state.spec)
+        works = representatives(state)
+        # Every representative's groups are tuned in one sweep; a
+        # scope's verdict is cached under the tuple of its signatures,
+        # so any group change re-opens the comparison.
+        scope_sigs = [tuple(signature_for_group(group, work.needs_barrier)
+                            for group in work.analysis.groups)
+                      for work in works]
+        tuner = GroupTuner(state.spec)
+        decisions = iter(tuner.tune_signatures(
+            [sig for sigs in scope_sigs for sig in sigs]))
         tuned_scopes = compared = 0
-        for work in representatives(state):
-            tuned, verdict_key, cache = tuned_launch_for(
-                work.analysis, state.spec, work.needs_barrier)
-            if tuned is None or same_launch(tuned, work.launch):
+        for work, sigs in zip(works, scope_sigs):
+            groups = work.analysis.groups
+            chosen = list(islice(decisions, len(sigs)))
+            if all(decision.mapping == decision.heuristic_mapping
+                   for decision in chosen):
+                # Every group keeps its heuristic: the override
+                # unification would reproduce the launch bit for bit.
+                continue
+            tuned = unify_launch(
+                groups, state.spec, work.needs_barrier,
+                overrides={group.group_id: decision.mapping
+                           for group, decision in zip(groups, chosen)})
+            if same_launch(tuned, work.launch):
                 # The search confirmed the heuristic — nothing to lower
                 # twice (the warm-cache compile-time bound).
                 continue
-            verdict = cache.get(verdict_key)
+            verdict_key = TuningKey(group=sigs, spec=state.spec)
+            verdict = tuner.cache.get(verdict_key)
             if verdict is None:
                 heuristic_kernels = lower_scope(state.graph, work.scope,
                                                 state.spec, work.analysis,
@@ -709,7 +703,7 @@ class LaunchTuningPass(Pass):
                 tuned_wins = engine.variant_time(tuned_kernels) \
                     <= engine.variant_time(heuristic_kernels)
                 verdict = "tuned" if tuned_wins else "heuristic"
-                cache.put(verdict_key, verdict)
+                tuner.cache.put(verdict_key, verdict)
                 compared += 1
             if verdict == "tuned":
                 # Its rebound scopes take the tuned launch too; only the

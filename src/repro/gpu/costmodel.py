@@ -23,7 +23,6 @@ import dataclasses
 import math
 import threading
 from collections.abc import Sequence
-from typing import Optional
 
 import numpy as np
 
@@ -99,22 +98,6 @@ class KernelCostModel:
         self.memo_hits = 0
         self.memo_misses = 0
 
-    def memory_time(self, inputs: KernelCostInputs, occ: float) -> float:
-        """DRAM transfer time under occupancy-derated bandwidth."""
-        utilization = max(_MIN_UTILIZATION,
-                          min(1.0, occ / _BANDWIDTH_SATURATION_OCCUPANCY))
-        bandwidth = self.spec.dram_bandwidth * utilization
-        return (inputs.bytes_read + inputs.bytes_written) / bandwidth
-
-    def compute_time(self, inputs: KernelCostInputs,
-                     sm_eff: float, occ: float) -> float:
-        """FP execution time under SM-coverage-derated throughput."""
-        coverage = max(_MIN_UTILIZATION, sm_eff)
-        # Per-SM issue also needs enough warps; fold occupancy in softly.
-        issue = max(_MIN_UTILIZATION, min(1.0, occ / 0.25))
-        throughput = self.spec.fp32_throughput * coverage * issue
-        return inputs.fp_instructions / throughput
-
     def price(self, inputs: KernelCostInputs) -> PerfCounters:
         """Produce the counters (including duration) for one kernel.
 
@@ -137,9 +120,17 @@ class KernelCostModel:
                                inputs.smem_per_block)
         wave = occupancy(spec, inputs.block_size, inputs.regs_per_thread,
                          inputs.smem_per_block).blocks_per_wave
+        # DRAM bandwidth is derated by occupancy, FP throughput by SM
+        # coverage; per-SM issue also needs warps (occupancy, softly).
+        utilization = max(_MIN_UTILIZATION,
+                          min(1.0, occ / _BANDWIDTH_SATURATION_OCCUPANCY))
+        coverage = max(_MIN_UTILIZATION, sm_eff)
+        issue = max(_MIN_UTILIZATION, min(1.0, occ / 0.25))
         return {
-            "memory_time": self.memory_time(inputs, occ),
-            "compute_time": self.compute_time(inputs, sm_eff, occ),
+            "memory_time": (inputs.bytes_read + inputs.bytes_written)
+            / (spec.dram_bandwidth * utilization),
+            "compute_time": inputs.fp_instructions
+            / (spec.fp32_throughput * coverage * issue),
             "wave_floor": math.ceil(inputs.grid_size / wave)
             * _WAVE_LATENCY,
             "barrier_time": (inputs.num_global_barriers
@@ -175,60 +166,98 @@ class KernelCostModel:
 
     def price_batch(self, inputs_list: Sequence[KernelCostInputs],
                     ) -> list[PerfCounters]:
-        """Price many kernels in one vectorized NumPy pass.
+        """Price many kernels in one :meth:`_roofline_arrays` pass.
 
-        Bit-identical to calling :meth:`price` per kernel: the roofline
-        arithmetic runs on float64 arrays with the exact operation order
-        of the scalar path (IEEE-754 ops are correctly rounded either
-        way), and the occupancy lookups go through the same memoized
-        calculator.  Results are deduplicated against — and seeded
-        into — the price memo, so a scalar re-price later is a hit.
+        Bit-identical to calling :meth:`price` per kernel.  Results are
+        deduplicated against — and seeded into — the price memo, so a
+        scalar re-price later is a hit.
         """
-        results: list[Optional[PerfCounters]] = [None] * len(inputs_list)
-        fresh: dict[KernelCostInputs, Optional[PerfCounters]] = {}
-        for i, inputs in enumerate(inputs_list):
-            cached = self._memo.get(inputs)
-            if cached is not None:
-                self.memo_hits += 1
-                results[i] = cached
-            else:
-                fresh.setdefault(inputs, None)
-        if fresh:
-            unique = list(fresh)
-            self.memo_misses += len(unique)
-            for inputs, counters in zip(unique,
-                                        self._price_vectorized(unique)):
-                self._memo[inputs] = counters
-                fresh[inputs] = counters
-        for i, inputs in enumerate(inputs_list):
-            if results[i] is None:
-                results[i] = fresh[inputs]
-        return results
-
-    def _price_vectorized(self, unique: list[KernelCostInputs],
-                          ) -> list[PerfCounters]:
-        """Roofline arithmetic for distinct kernels as one array pass."""
+        known = [self._memo.get(inputs) for inputs in inputs_list]
+        unique = list(dict.fromkeys(
+            inputs for inputs, hit in zip(inputs_list, known) if hit is None))
+        self.memo_hits += sum(hit is not None for hit in known)
+        if not unique:
+            return known
+        self.memo_misses += len(unique)
         spec = self.spec
-        n = len(unique)
-        occs = np.empty(n)
-        sm_effs = np.empty(n)
-        waves = np.empty(n)
-        for k, inputs in enumerate(unique):
-            occs[k] = achieved_occupancy(
-                spec, inputs.grid_size, inputs.block_size,
-                inputs.regs_per_thread, inputs.smem_per_block)
-            sm_effs[k] = sm_efficiency(
-                spec, inputs.grid_size, inputs.block_size,
-                inputs.regs_per_thread, inputs.smem_per_block)
-            waves[k] = occupancy(spec, inputs.block_size,
-                                 inputs.regs_per_thread,
-                                 inputs.smem_per_block).blocks_per_wave
-        grid = np.array([i.grid_size for i in unique], dtype=np.float64)
-        bytes_read = np.array([i.bytes_read for i in unique])
-        bytes_written = np.array([i.bytes_written for i in unique])
-        fp = np.array([i.fp_instructions for i in unique])
+        grid, block, regs, smem, atomic_rounds = np.array([
+            (i.grid_size, i.block_size, i.regs_per_thread,
+             i.smem_per_block, i.num_atomic_rounds) for i in unique],
+            dtype=np.int64).T
+        times, occs, sm_effs = self._roofline_arrays(
+            grid, block, regs, smem,
+            np.array([i.bytes_read for i in unique]),
+            np.array([i.bytes_written for i in unique]),
+            np.array([i.fp_instructions for i in unique]), atomic_rounds,
+            np.array([i.num_global_barriers * global_barrier_latency(
+                spec, i.grid_size) if i.num_global_barriers else 0.0
+                for i in unique]))
+        tx = spec.dram_transaction_bytes
+        fresh = {inputs: PerfCounters(
+            dram_read_transactions=math.ceil(inputs.bytes_read / tx),
+            dram_write_transactions=math.ceil(inputs.bytes_written / tx),
+            inst_fp_32=int(round(inputs.fp_instructions)),
+            achieved_occupancy=occ,
+            sm_efficiency=sm_eff,
+            duration=time,
+        ) for inputs, time, occ, sm_eff in zip(
+            unique, times.tolist(), occs.tolist(), sm_effs.tolist())}
+        self._memo.update(fresh)
+        return [fresh[inputs] if hit is None else hit
+                for inputs, hit in zip(inputs_list, known)]
 
-        # Same expressions, same association order as the scalar path.
+    def launch_durations(self, grid: np.ndarray, block: np.ndarray,
+                         bytes_read: np.ndarray, bytes_written: np.ndarray,
+                         fp_instructions: np.ndarray,
+                         atomic_rounds: np.ndarray,
+                         regs_per_thread: int = 32,
+                         smem_per_block: int = 0) -> np.ndarray:
+        """Durations of barrier-free launches given as columns, for
+        callers ranking candidates (the launch tuner): bit-identical to
+        :meth:`_price_uncached`, but the price memo is neither read nor
+        written and no :class:`PerfCounters` is built."""
+        return self._roofline_arrays(
+            grid, block, np.full(len(grid), regs_per_thread),
+            np.full(len(grid), smem_per_block), bytes_read, bytes_written,
+            fp_instructions, atomic_rounds, 0.0)[0]
+
+    def _roofline_arrays(self, grid: np.ndarray, block: np.ndarray,
+                         regs: np.ndarray, smem: np.ndarray,
+                         bytes_read: np.ndarray, bytes_written: np.ndarray,
+                         fp: np.ndarray, atomic_rounds: np.ndarray,
+                         barrier_time: np.ndarray | float,
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(duration, achieved occupancy, SM efficiency) columns of many
+        launches, with one ``occupancy()`` lookup per distinct (block,
+        regs, smem).  Every term follows the scalar :meth:`_roofline`'s
+        exact operation order (IEEE-754 ops are correctly rounded either
+        way, and every integer here is exact in float64)."""
+        spec = self.spec
+        # Mixed-radix key of (block, regs, smem): equal keys, equal
+        # configurations, for the non-negative integers launches carry.
+        regs_radix, smem_radix = int(regs.max()) + 1, int(smem.max()) + 1
+        _, first, inverse = np.unique(
+            (block * regs_radix + regs) * smem_radix + smem,
+            return_index=True, return_inverse=True)
+        per_sm = np.array([
+            occupancy(spec, *config).blocks_per_sm for config in zip(
+                block[first].tolist(), regs[first].tolist(),
+                smem[first].tolist())], dtype=np.int64)[inverse.reshape(-1)]
+        wave = per_sm * spec.num_sms
+
+        # achieved_occupancy (a grid of 0 yields 0.0, as there).
+        warps_per_block = -(-block // spec.warp_size)
+        max_warps = spec.max_threads_per_sm // spec.warp_size
+        resident = np.minimum(per_sm, grid / spec.num_sms)
+        occs = np.minimum(1.0, resident * warps_per_block / max_warps)
+
+        # sm_efficiency: with no full wave, (0 + tail) / 1 is the tail
+        # coverage exactly.
+        full_waves, tail = np.divmod(grid, wave)
+        tail_coverage = np.minimum(1.0, tail / spec.num_sms)
+        sm_effs = (full_waves + tail_coverage) \
+            / np.maximum(1, full_waves + (tail > 0))
+
         utilization = np.maximum(
             _MIN_UTILIZATION,
             np.minimum(1.0, occs / _BANDWIDTH_SATURATION_OCCUPANCY))
@@ -237,29 +266,12 @@ class KernelCostModel:
         coverage = np.maximum(_MIN_UTILIZATION, sm_effs)
         issue = np.maximum(_MIN_UTILIZATION, np.minimum(1.0, occs / 0.25))
         comp_t = fp / (spec.fp32_throughput * coverage * issue)
-        wave_floor = np.ceil(grid / waves) * _WAVE_LATENCY
+        wave_floor = np.ceil(grid / wave) * _WAVE_LATENCY
         times = np.maximum(np.maximum(mem_t, comp_t), wave_floor) \
             + _KERNEL_RAMP
-
-        tx = spec.dram_transaction_bytes
-        priced = []
-        for k, inputs in enumerate(unique):
-            time = float(times[k])
-            if inputs.num_global_barriers:
-                time += inputs.num_global_barriers * global_barrier_latency(
-                    spec, inputs.grid_size)
-            if inputs.num_atomic_rounds:
-                time += inputs.num_atomic_rounds * spec.atomic_latency
-            priced.append(PerfCounters(
-                dram_read_transactions=math.ceil(inputs.bytes_read / tx),
-                dram_write_transactions=math.ceil(
-                    inputs.bytes_written / tx),
-                inst_fp_32=int(round(inputs.fp_instructions)),
-                achieved_occupancy=float(occs[k]),
-                sm_efficiency=float(sm_effs[k]),
-                duration=time,
-            ))
-        return priced
+        times = times + barrier_time
+        times = times + atomic_rounds * spec.atomic_latency
+        return times, occs, sm_effs
 
     def explain(self, inputs: KernelCostInputs) -> dict[str, float | str]:
         """Break one kernel's price into its components.
@@ -276,11 +288,6 @@ class KernelCostModel:
                       "wave_floor": terms["wave_floor"]}
         terms["bound_by"] = max(candidates, key=candidates.get)
         return terms
-
-    def price_durations(self, inputs_list: Sequence[KernelCostInputs],
-                        ) -> list[float]:
-        """Durations only, for callers ranking candidates (the tuner)."""
-        return [c.duration for c in self.price_batch(inputs_list)]
 
     def clear_memo(self) -> None:
         """Drop the price memo (counters stay correct; only re-derived)."""

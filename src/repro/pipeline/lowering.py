@@ -22,7 +22,7 @@ search) live next to their compilers and compose with these.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.compilers.base import (
     CompiledModule,

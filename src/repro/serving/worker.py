@@ -20,7 +20,6 @@ process — is a cache hit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.compilers.base import Compiler
 from repro.gpu.spec import GPUSpec

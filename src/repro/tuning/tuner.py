@@ -6,14 +6,16 @@ always prefer the largest block.  Those rules are right when a global
 barrier constrains the grid — and measurably wrong when it does not
 (packing a 200-row reduce to half a wave throws away occupancy the
 barrier never needed back).  The tuner replaces the rule with a search:
-enumerate every legal candidate (:mod:`repro.tuning.space`), price all
-of them in **one** vectorized :meth:`KernelCostModel.price_batch` pass,
-and keep the minimum-latency mapping.
+enumerate every legal candidate as integer columns
+(:mod:`repro.tuning.space`), price all uncached signatures' columns in
+**one** memo-free :meth:`KernelCostModel.launch_durations` pass, and
+keep the minimum-latency row (only it and the heuristic become
+:class:`ThreadMapping` objects).
 
 Three properties the rest of the pipeline relies on:
 
-* **never worse** — the heuristic mapping is always candidate #0, so
-  the per-group winner prices ≤ the heuristic under the same model (the
+* **never worse** — the heuristic mapping is always row 0, so the
+  per-group winner prices ≤ the heuristic under the same model (the
   compiler adds a module-level best-of guard on top for the unified
   launch);
 * **deterministic** — a candidate replaces the heuristic only when it
@@ -39,6 +41,8 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 from typing import Optional
+
+import numpy as np
 
 from repro.codegen.builder import node_work
 from repro.codegen.mapping import RootGeometry, root_geometry
@@ -166,8 +170,10 @@ def signature_for_group(group: GroupInfo,
 
 def candidates_for(sig: GroupSignature,
                    spec: GPUSpec) -> list[ThreadMapping]:
-    """The legal candidate set of one signature (heuristic first)."""
-    return space.candidates(sig.geometry, spec, sig.needs_barrier)
+    """The legal candidate set of one signature as mappings (heuristic
+    first); the tuner itself builds only the heuristic and the winner."""
+    columns = space.candidates(sig.geometry, spec, sig.needs_barrier)
+    return [columns.mapping(i) for i in range(len(columns))]
 
 
 def proxy_cost_inputs(sig: GroupSignature,
@@ -199,8 +205,9 @@ class GroupTuner:
         spec: Target device.
         cache: Decision store; defaults to the process-wide
             :func:`default_tuning_cache`.
-        cost_model: Pricing model; defaults to the shared per-spec model
-            (so tuning seeds the same memo the engine prices through).
+        cost_model: Pricing model; defaults to the shared per-spec model,
+            whose price memo tuning never touches (it calls only the
+            memo-free :meth:`~KernelCostModel.launch_durations`).
     """
 
     def __init__(self, spec: GPUSpec,
@@ -217,12 +224,12 @@ class GroupTuner:
 
     def tune_signatures(self, sigs: Sequence[GroupSignature],
                         ) -> list[TunedDecision]:
-        """Tune many signatures with one batched pricing pass.
+        """Tune many signatures with one array pricing pass.
 
         Cache lookups run first; every uncached signature's candidate
-        set is enumerated, then *all* of their candidates are priced in a single
-        ``price_batch`` call — the whole sweep is one NumPy pass, not
-        one model call per candidate.
+        columns are enumerated, then *all* of them are priced in a
+        single :meth:`KernelCostModel.launch_durations` call and each
+        signature's winner is picked by one lexicographic sort.
         """
         decisions: dict[GroupSignature, TunedDecision] = {}
         missing: list[tuple[GroupSignature, TuningKey]] = []
@@ -238,51 +245,48 @@ class GroupTuner:
                 missing.append((sig, key))
 
         if missing:
-            candidate_sets = [candidates_for(sig, self.spec)
-                              for sig, _ in missing]
-            flat: list[KernelCostInputs] = []
-            for (sig, _), cands in zip(missing, candidate_sets):
-                flat.extend(proxy_cost_inputs(sig, m) for m in cands)
-            durations = self.model.price_durations(flat)
-            offset = 0
-            for (sig, key), cands in zip(missing, candidate_sets):
-                times = durations[offset:offset + len(cands)]
-                offset += len(cands)
-                decision = self._select(cands, times)
+            for (sig, key), decision in zip(missing, self._sweep(
+                    [sig for sig, _ in missing])):
                 decisions[sig] = decision
                 self.cache.put(key, decision)
         return [decisions[sig] for sig in sigs]
 
-    def tune_groups(self, groups: Sequence[GroupInfo],
-                    needs_barrier: bool) -> dict[int, TunedDecision]:
-        """Tune every schedule group of one stitch scope.
-
-        Returns group id -> decision; groups with identical signatures
-        share one sweep (and one cache entry).
-        """
-        sigs = [signature_for_group(group, needs_barrier)
-                for group in groups]
-        tuned = self.tune_signatures(sigs)
-        return {group.group_id: decision
-                for group, decision in zip(groups, tuned)}
-
     # -- internals ----------------------------------------------------------
 
-    @staticmethod
-    def _select(cands: Sequence[ThreadMapping],
-                times: Sequence[float]) -> TunedDecision:
-        heuristic_time = times[0]
-        best_index = min(range(len(cands)),
-                         key=lambda i: (times[i], cands[i].sort_key()))
-        if heuristic_time <= times[best_index]:
-            # Incumbent rule: deviating from the heuristic must pay —
-            # on exact ties keep candidate #0, so tied sweeps never
-            # force the compiler's double-lowering best-of pass.
-            best_index = 0
-        return TunedDecision(
-            mapping=cands[best_index],
-            heuristic_mapping=cands[0],
-            tuned_time=times[best_index],
-            heuristic_time=heuristic_time,
-            num_candidates=len(cands),
-        )
+    def _sweep(self, sigs: Sequence[GroupSignature],
+               ) -> list[TunedDecision]:
+        """Enumerate, price and select for uncached signatures.
+
+        The winner is the smallest (duration, ``sort_key``) row — kind
+        is fixed per signature, so the key is the columns — unless the
+        heuristic row 0 prices no worse (the incumbent rule: tied sweeps
+        never force the compiler's double-lowering best-of pass).
+        """
+        spaces = [space.candidates(sig.geometry, self.spec,
+                                   sig.needs_barrier) for sig in sigs]
+        counts = np.array([len(cands) for cands in spaces])
+        starts = np.cumsum(counts) - counts
+        table = np.concatenate([cands.table for cands in spaces])
+        grid, block, rows_per_block, blocks_per_row, tasks = table.T
+        per_sig = np.array([(sig.bytes_read, sig.bytes_written,
+                             sig.fp_instructions,
+                             sig.kind == MappingKind.COLUMN_REDUCE.value)
+                            for sig in sigs]).repeat(counts, axis=0)
+        # Same atomic-round rule as proxy_cost_inputs.
+        atomic_rounds = (blocks_per_row > 1) | (per_sig[:, 3] > 0)
+        times = self.model.launch_durations(
+            grid, block, per_sig[:, 0], per_sig[:, 1], per_sig[:, 2],
+            atomic_rounds.astype(np.int64),
+            regs_per_thread=ASSUMED_REGISTER_BOUND, smem_per_block=0)
+        segment = np.arange(len(spaces)).repeat(counts)
+        order = np.lexsort((tasks, rows_per_block, blocks_per_row, -block,
+                            grid, times, segment))
+        best = order[starts]
+        best = np.where(times[starts] <= times[best], starts, best)
+        times = times.tolist()
+        return [TunedDecision(mapping=cands.mapping(b - s),
+                              heuristic_mapping=cands.mapping(0),
+                              tuned_time=times[b], heuristic_time=times[s],
+                              num_candidates=len(cands))
+                for cands, b, s in zip(spaces, best.tolist(),
+                                       starts.tolist())]

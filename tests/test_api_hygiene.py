@@ -131,3 +131,79 @@ class TestPython39:
                      if (found := _newer_than_39(
                          ast.parse(path.read_text(encoding="utf-8"))))}
         assert not offenders
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every binding a module's imports create
+    (``from __future__`` excluded; ``import a.b`` binds ``a``)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` loads, including the names inside string
+    annotations and the strings of a module-level ``__all__``."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(element.value for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant))
+    for annotation in annotations:
+        for element in ast.walk(annotation):
+            if isinstance(element, ast.Constant) \
+                    and isinstance(element.value, str):
+                used |= _referenced_names(
+                    ast.parse(element.value, mode="eval"))
+    return used
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    used = _referenced_names(tree)
+    return [f"line {line}: {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used]
+
+
+class TestUnusedImports:
+    """No linter runs in CI, so this scan stands in for pyflakes'
+    unused-import check on the package (``__init__`` modules re-export
+    and are skipped)."""
+
+    def test_detects_unused_names(self):
+        source = ("from typing import Optional, Sequence\n"
+                  "import os.path\n"
+                  "import numpy as np\n"
+                  "from repro.ir.graph import Graph\n"
+                  "def f(x: 'Optional[Graph]') -> Sequence: ...\n")
+        assert _unused_imports(ast.parse(source)) \
+            == ["line 2: os", "line 3: np"]
+
+    def test_no_unused_imports_in_src(self):
+        root = pathlib.Path(__file__).resolve().parents[1] / "src"
+        offenders = {str(path.relative_to(root)): found
+                     for path in sorted(root.rglob("*.py"))
+                     if path.name != "__init__.py"
+                     and (found := _unused_imports(
+                         ast.parse(path.read_text(encoding="utf-8"))))}
+        assert not offenders

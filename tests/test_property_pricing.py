@@ -1,4 +1,4 @@
-"""Property test at the pricing boundary.
+"""Property tests at the pricing boundary.
 
 The vectorized, memoized :meth:`KernelCostModel.price_batch` and every
 execution plan built on top of it must agree bit for bit with the scalar
@@ -6,17 +6,30 @@ reference :meth:`KernelCostModel._price_uncached`, evaluated on a
 *fresh* model so no memo is shared with the path under test.  Inputs
 cover atomic rounds and global barriers (with grids that fit one wave,
 as the barrier requires) on random device specs.
+
+Metamorphic laws hold for a fixed launch on both the array core (the
+memo-free :meth:`KernelCostModel.launch_durations`) and the scalar
+reference: more DRAM bandwidth never slows a kernel, more bytes or more
+FP instructions never speed one up, and an fp16 variant of a graph
+never moves more bytes than its fp32 original.  "More SMs is never
+slower" is *not* a law of this model: with ``num_sms`` raised alone, a
+sub-wave grid covers a smaller share of the SMs (lower achieved
+occupancy, so less usable bandwidth), while ``fp32_throughput`` is a
+separate, unchanged field.
 """
 
 import dataclasses
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.codegen.builder import kernel_cost_inputs
+from repro.compilers import XLACompiler
 from repro.core import AStitchCompiler
 from repro.gpu.costmodel import KernelCostInputs, KernelCostModel
 from repro.gpu.occupancy import occupancy
 from repro.gpu.spec import V100
+from repro.runtime.amp import convert_to_amp
 from repro.runtime.engine import Engine
 from repro.runtime.plan import PlanCache
 from repro.workloads import micro
@@ -94,3 +107,84 @@ def test_price_batch_and_plans_match_reference(case, graph, rows, cols):
         want = reference._price_uncached(kernel_cost_inputs(kernel))
         assert _same(step.counters, want)
         assert step.duration == want.duration
+
+
+def _durations(spec, launches):
+    """Each launch's duration from the array core and from the scalar
+    reference, after checking the two agree bit for bit."""
+    model = KernelCostModel(spec)
+    array = model.launch_durations(
+        np.array([x.grid_size for x in launches]),
+        np.array([x.block_size for x in launches]),
+        np.array([x.bytes_read for x in launches]),
+        np.array([x.bytes_written for x in launches]),
+        np.array([x.fp_instructions for x in launches]),
+        np.array([x.num_atomic_rounds for x in launches]),
+        regs_per_thread=launches[0].regs_per_thread,
+        smem_per_block=launches[0].smem_per_block).tolist()
+    scalar = [model._price_uncached(x).duration for x in launches]
+    assert [t.hex() for t in array] == [t.hex() for t in scalar]
+    return scalar
+
+
+@st.composite
+def launches(draw):
+    spec = dataclasses.replace(
+        V100,
+        dram_bandwidth=draw(st.floats(100e9, 3000e9)),
+        num_sms=draw(st.integers(8, 160)))
+    inputs = draw(cost_inputs(spec))
+    # launch_durations prices barrier-free launches (the tuner's proxy).
+    return spec, dataclasses.replace(inputs, num_global_barriers=0)
+
+
+growth = st.floats(1.0, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=launches(), factor=growth)
+def test_more_bandwidth_never_slower(case, factor):
+    spec, inputs = case
+    faster = dataclasses.replace(spec,
+                                 dram_bandwidth=spec.dram_bandwidth * factor)
+    [base] = _durations(spec, [inputs])
+    [sped] = _durations(faster, [inputs])
+    assert sped <= base
+    with_barrier = dataclasses.replace(inputs, num_global_barriers=1,
+                                       grid_size=1)
+    assert KernelCostModel(faster)._price_uncached(with_barrier).duration \
+        <= KernelCostModel(spec)._price_uncached(with_barrier).duration
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=launches(), extra_read=st.floats(0.0, 1e10),
+       extra_written=st.floats(0.0, 1e10), extra_fp=st.floats(0.0, 1e11))
+def test_more_bytes_or_instructions_never_faster(case, extra_read,
+                                                 extra_written, extra_fp):
+    spec, inputs = case
+    heavier = [
+        dataclasses.replace(inputs,
+                            bytes_read=inputs.bytes_read + extra_read),
+        dataclasses.replace(inputs, bytes_written=inputs.bytes_written
+                            + extra_written),
+        dataclasses.replace(inputs, fp_instructions=inputs.fp_instructions
+                            + extra_fp),
+    ]
+    base, *more = _durations(spec, [inputs, *heavier])
+    assert all(time >= base for time in more)
+
+
+def _bytes_moved(module) -> float:
+    return sum(inputs.bytes_read + inputs.bytes_written
+               for inputs in map(kernel_cost_inputs, module.kernels()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=st.sampled_from(sorted(GRAPHS)), rows=st.integers(1, 512),
+       cols=st.integers(1, 4096),
+       device=st.sampled_from([V100, dataclasses.replace(V100, num_sms=20)]),
+       compiler=st.sampled_from([AStitchCompiler(), XLACompiler()]))
+def test_fp16_never_moves_more_bytes(graph, rows, cols, device, compiler):
+    fp32 = GRAPHS[graph](rows, cols)
+    assert _bytes_moved(compiler.compile(convert_to_amp(fp32), device)) \
+        <= _bytes_moved(compiler.compile(fp32, device))

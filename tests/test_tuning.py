@@ -11,6 +11,7 @@ with the other stores in ``tests/test_store.py``.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import reset_caches
@@ -22,6 +23,7 @@ from repro.core import AStitchCompiler, AStitchConfig
 from repro.core.adaptive import unify_launch
 from repro.core.dominants import analyze_scope
 from repro.core.scope import identify_stitch_scopes
+from repro.gpu.costmodel import cost_model_for
 from repro.gpu.spec import A100, T4, V100
 from repro.runtime.engine import Engine
 from repro.runtime.plan import module_pricing_signature
@@ -114,8 +116,8 @@ class TestDeterminism:
         sig = elementwise_sig()
 
         class _Zero:
-            def price_durations(self, probes):
-                return [0.0] * len(probes)
+            def launch_durations(self, grid, *columns, **knobs):
+                return np.zeros(len(grid))
 
         tuner = GroupTuner(V100, cache=TuningCache(), cost_model=_Zero())
         decision = tuner.tune_signature(sig)
@@ -129,8 +131,8 @@ class TestDeterminism:
         cands = candidates_for(sig, V100)
 
         class _HeuristicWorst:
-            def price_durations(self, probes):
-                return [1.0] + [0.5] * (len(probes) - 1)
+            def launch_durations(self, grid, *columns, **knobs):
+                return np.array([1.0] + [0.5] * (len(grid) - 1))
 
         tuner = GroupTuner(V100, cache=TuningCache(),
                            cost_model=_HeuristicWorst())
@@ -138,12 +140,52 @@ class TestDeterminism:
         assert decision.mapping == min(cands[1:],
                                        key=lambda m: m.sort_key())
 
+    @pytest.mark.parametrize("sig", [
+        row_reduce_sig(), row_reduce_sig(rows=4096, width=512),
+        elementwise_sig(1000),
+        dataclasses.replace(row_reduce_sig(rows=7, width=300_000),
+                            kind=MappingKind.COLUMN_REDUCE.value)],
+        ids=["row", "packed-rows", "elementwise", "column"])
+    def test_tie_break_on_every_sort_key_field(self, sig):
+        # Winners tied on duration *and* grid fall through to the later
+        # sort_key fields (larger block first, then least decomposition).
+        cands = candidates_for(sig, V100)
+        grids = [m.grid_size for m in cands[1:]]
+        shared = next(g for g in grids if grids.count(g) > 1)
+
+        class _SharedGridWins:
+            def launch_durations(self, grid, *columns, **knobs):
+                times = np.where(grid == shared, 0.5, 1.0)
+                times[0] = 1.0
+                return times
+
+        tuner = GroupTuner(V100, cache=TuningCache(),
+                           cost_model=_SharedGridWins())
+        assert tuner.tune_signature(sig).mapping == min(
+            (m for m in cands[1:] if m.grid_size == shared),
+            key=lambda m: m.sort_key())
+
     def test_signature_digest_stable(self):
         def digest(sig):
             return TuningKey(group=sig, spec=V100).digest()
 
         assert digest(row_reduce_sig()) == digest(row_reduce_sig())
         assert digest(row_reduce_sig()) != digest(elementwise_sig())
+
+    def test_sweep_leaves_price_memo_alone(self):
+        # Candidates are priced by the memo-free array path: fresh
+        # signatures add no proxy KernelCostInputs to the shared memo.
+        model = cost_model_for(V100)
+        before = (len(model._memo), model.memo_hits, model.memo_misses)
+        sigs = [row_reduce_sig(), row_reduce_sig(needs_barrier=True),
+                elementwise_sig(),
+                dataclasses.replace(row_reduce_sig(rows=256, width=256),
+                                    kind=MappingKind.COLUMN_REDUCE.value)]
+        decisions = GroupTuner(V100, cache=TuningCache()) \
+            .tune_signatures(sigs)
+        assert sum(d.num_candidates for d in decisions) > len(sigs)
+        assert (len(model._memo), model.memo_hits,
+                model.memo_misses) == before
 
     def test_batch_matches_one_by_one(self):
         sigs = [row_reduce_sig(), elementwise_sig(),
@@ -256,7 +298,6 @@ class TestCompilerIntegration:
         assert tuned.total_time <= heuristic.total_time
 
     def test_tuned_module_matches_numerics(self):
-        import numpy as np
         from repro.ir.interpreter import evaluate, random_feeds
         graph = micro.softmax_graph(33, 700)
         feeds = random_feeds(graph, seed=7)
