@@ -411,6 +411,7 @@ def cmd_tune(args) -> int:
     """
     from repro.core.config import AStitchConfig
     from repro.core.dominants import analyze_scope
+    from repro.core.passes import propagate_schedule
     from repro.core.scope import identify_stitch_scopes
     from repro.tuning import GroupTuner, signature_for_group
 
@@ -425,9 +426,10 @@ def cmd_tune(args) -> int:
         candidates_total = 0
         for scope in identify_stitch_scopes(
                 graph, remote_stitching=config.remote_stitching):
-            analysis = analyze_scope(graph, scope.nodes)
-            needs_barrier = (analysis.stages > 1
-                             and config.enable_global_scheme)
+            analysis = analyze_scope(
+                graph, scope.nodes,
+                dominant_merging=config.dominant_merging)
+            needs_barrier, _ = propagate_schedule(analysis, spec, config)
             decisions = tuner.tune_signatures(
                 [signature_for_group(group, needs_barrier)
                  for group in analysis.groups])

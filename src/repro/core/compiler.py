@@ -11,11 +11,11 @@ The compiler is a declared pipeline over the discrete phase passes of
    (:mod:`repro.core.adaptive`);
 4. optional launch tuning with a lowered best-of guard
    (:mod:`repro.tuning`);
-5. scheme finalization via block-locality (:mod:`repro.core.locality`);
-6. shared-memory budgeting with regional->global demotion and global
-   scratch planning (:mod:`repro.core.memplan`);
-7. assume-relax-apply launch configuration (:mod:`repro.core.launch`)
-   and stitch-op emission.
+5-7. one lowering pass: scheme finalization via block-locality
+   (:mod:`repro.core.locality`), shared-memory budgeting with
+   regional->global demotion and global scratch planning
+   (:mod:`repro.core.memplan`), assume-relax-apply launch configuration
+   (:mod:`repro.core.launch`) and stitch-op emission.
 
 Every stitch scope becomes one GPU kernel with in-kernel global barriers
 between schedule-group stages — the *stitch op* of the paper.  The

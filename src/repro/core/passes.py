@@ -1,6 +1,6 @@
 """The AStitch compilation phases as discrete pipeline passes (Sec 4).
 
-One pass per paper phase, each individually runnable and testable:
+One pass per paper phase up to phase 4, then one pass for the lowering:
 
 1. :class:`StitchScopeIdentificationPass` — stitching-scope
    identification + remote stitching (:mod:`repro.core.scope`);
@@ -12,30 +12,29 @@ One pass per paper phase, each individually runnable and testable:
 4. :class:`LaunchTuningPass` — optional cost-model search over the
    per-group launch space, guarded by a lowered best-of comparison
    (:mod:`repro.tuning`);
-5. :class:`BlockLocalityPass` — scheme finalization via block-locality
-   checking (:mod:`repro.core.locality`);
-6. :class:`MemoryPlanningPass` — shared-memory budgeting with
-   regional->global demotion and global scratch planning
-   (:mod:`repro.core.memplan`);
-7. :class:`StitchCodegenPass` — resource-aware launch configuration
+5-7. :class:`StitchLoweringPass` — scheme finalization via
+   block-locality checking (:mod:`repro.core.locality`), shared-memory
+   budgeting with regional->global demotion and global scratch planning
+   (:mod:`repro.core.memplan`), resource-aware launch configuration
    (:mod:`repro.core.launch`) and stitch-kernel emission.
 
 The passes communicate through ``state.scratch["astitch"]``: a list of
 :class:`ScopeWork` records, one per stitch scope, that accumulate the
-per-scope intermediates phase by phase.  The lowering steps are plain
-module functions (:func:`assign_scope_schemes`, :func:`plan_scope_memory`,
-:func:`emit_stitch_kernel`, ...) composed by :func:`lower_scope`; the
-tuning pass prices candidate launches through exactly the same functions
-the later passes run, so the chosen variant lowers to identical kernels
-by construction.
+per-scope intermediates phase by phase.  Phases 5-7 are one function,
+:func:`lower_scope`, composed of plain module functions
+(:func:`assign_scope_schemes`, :func:`plan_scope_memory`,
+:func:`emit_stitch_kernel`, ...).  It is the only way a scope gets
+lowered: the tuning pass compares two of its :class:`ScopeLowering`
+records and leaves the cheaper one on the scope, and the lowering pass
+emits that record's kernels as they are.
 
 Phases 1 and 2 do not depend on dims, so their results are memoized by
 topology fingerprint (:data:`TOPOLOGY_MEMO`): every later batch size of
 a workload rebinds them.  Phases 3-7 run once per scope class: phase 2
 gives each scope a dims-free class id (:func:`scope_class`), phase 3
 keys each scope by its class id plus its dims, and only the first scope
-of each key (its representative) is lowered; phase 7 rebinds the
-representative's kernels onto every other scope of the class
+of each key (its representative) is lowered; the lowering pass rebinds
+the representative's kernels onto every other scope of the class
 (:func:`rebind_kernel`).
 
 :func:`atm_mapping_factory` is the ``ATM`` ablation's mapping rule:
@@ -90,11 +89,8 @@ class ScopeWork:
             global barriers (multi-stage + global scheme enabled).
         launch: The scope's unified launch — heuristic after phase 3,
             possibly replaced by the tuned winner in phase 4.
-        schemes: Node -> stitching scheme (phase 5).
-        per_group: Regional-only fallback: lower one kernel per
-            schedule-group component instead of one stitched kernel.
-        plan: Stitch-mode memory plan (phase 6).
-        components: Per-group-mode component plans (phase 6).
+        lowering: The scope lowered under ``launch`` — by phase 4 when
+            it compared two launches, else by phases 5-7.
         class_id: Dims-free scope class (phase 2, :func:`scope_class`).
         externals: Operands from outside the scope, in first-use order
             (phase 2).
@@ -107,10 +103,7 @@ class ScopeWork:
     analysis: Optional[ScopeAnalysis] = None
     needs_barrier: bool = False
     launch: Optional[UnifiedLaunch] = None
-    schemes: Optional[dict[Node, StitchScheme]] = None
-    per_group: bool = False
-    plan: Any = None
-    components: Optional[list["ComponentPlan"]] = None
+    lowering: Optional["ScopeLowering"] = None
     class_id: int = 0
     externals: list[Node] = dataclasses.field(default_factory=list)
     representative: Optional["ScopeWork"] = None
@@ -133,7 +126,7 @@ def representatives(state: CompileState) -> list[ScopeWork]:
             if work.representative is None]
 
 
-# -- lowering steps (shared by the passes and the tuning comparator) -----------
+# -- lowering steps ------------------------------------------------------------
 
 
 def group_sccs(graph: Graph, scope_set: set[Node],
@@ -336,26 +329,43 @@ def emit_component_kernel(graph: Graph, scope: StitchScope,
     return kernel
 
 
+@dataclasses.dataclass(frozen=True)
+class ScopeLowering:
+    """One scope lowered under one launch (phases 5-7).
+
+    Attributes:
+        schemes: Node -> stitching scheme (phase 5).
+        per_group: Regional-only fallback: one kernel per schedule-group
+            component instead of one stitched kernel.
+        kernels: The scope's kernels, in emission order.
+    """
+
+    schemes: dict[Node, StitchScheme]
+    per_group: bool
+    kernels: list[Kernel]
+
+
 def lower_scope(graph: Graph, scope: StitchScope, spec: GPUSpec,
                 analysis: ScopeAnalysis, launch: UnifiedLaunch,
-                cfg: AStitchConfig) -> list[Kernel]:
+                cfg: AStitchConfig) -> ScopeLowering:
     """Lower one scope under one launch: phases 5-7 composed.
 
-    This is the same code path the passes run phase by phase — the
-    tuning comparator prices candidates through it, so whichever launch
-    wins, the pipeline re-derives identical kernels.
+    The only lowering of a scope: the tuning comparator prices its
+    kernels, and the lowering pass emits them.
     """
     schemes, per_group = assign_scope_schemes(graph, scope, analysis,
                                               launch, cfg)
     if per_group:
-        return [emit_component_kernel(graph, scope, component)
-                for component in component_plans(graph, scope, analysis,
-                                                 launch, schemes, spec)]
-    plan = plan_scope_memory(graph, analysis, launch, schemes, spec)
-    launch_cfg = configure_launch(spec, launch.block_size,
-                                  plan.smem_per_block)
-    return [emit_stitch_kernel(graph, scope, analysis, launch, plan,
-                               launch_cfg)]
+        kernels = [emit_component_kernel(graph, scope, component)
+                   for component in component_plans(
+                       graph, scope, analysis, launch, schemes, spec)]
+    else:
+        plan = plan_scope_memory(graph, analysis, launch, schemes, spec)
+        launch_cfg = configure_launch(spec, launch.block_size,
+                                      plan.smem_per_block)
+        kernels = [emit_stitch_kernel(graph, scope, analysis, launch, plan,
+                                      launch_cfg)]
+    return ScopeLowering(schemes, per_group, kernels)
 
 
 def rebind_kernel(kernel: Kernel, to: dict[Node, Node], name: str) -> Kernel:
@@ -646,11 +656,11 @@ class LaunchTuningPass(Pass):
 
     The tuner ranks proxy kernels; the final unified launch
     (widest-operator provisioning, memory planning, assume-relax-apply)
-    can shift the balance, so divergent candidates are compared as
-    *lowered* scopes under the engine's own per-kernel accounting and
-    the cheaper launch is kept.  Tuning therefore never regresses
-    modeled latency, whatever the proxy missed; the verdict is cached by
-    scope signature so warm compiles lower each scope once.
+    can shift the balance, so a representative whose tuned launch
+    differs is lowered both ways (:func:`lower_scope`) and priced under
+    the engine's own per-kernel accounting.  The cheaper lowering, the
+    tuned one on a tie, stays on the scope for phases 5-7 to emit, so
+    tuning never regresses modeled latency, whatever the proxy missed.
     """
 
     name = "launch-tuning"
@@ -661,23 +671,18 @@ class LaunchTuningPass(Pass):
 
     def run(self, state: CompileState) -> dict[str, Any]:
         from repro.runtime.engine import Engine
-        from repro.tuning import GroupTuner, TuningKey, signature_for_group
+        from repro.tuning import GroupTuner, signature_for_group
         cfg = self.config
         engine = Engine(state.spec)
         works = representatives(state)
-        # Every representative's groups are tuned in one sweep; a
-        # scope's verdict is cached under the tuple of its signatures,
-        # so any group change re-opens the comparison.
-        scope_sigs = [tuple(signature_for_group(group, work.needs_barrier)
-                            for group in work.analysis.groups)
-                      for work in works]
-        tuner = GroupTuner(state.spec)
-        decisions = iter(tuner.tune_signatures(
-            [sig for sigs in scope_sigs for sig in sigs]))
+        # Every representative's groups are tuned in one sweep.
+        sigs = [signature_for_group(group, work.needs_barrier)
+                for work in works for group in work.analysis.groups]
+        decisions = iter(GroupTuner(state.spec).tune_signatures(sigs))
         tuned_scopes = compared = 0
-        for work, sigs in zip(works, scope_sigs):
+        for work in works:
             groups = work.analysis.groups
-            chosen = list(islice(decisions, len(sigs)))
+            chosen = list(islice(decisions, len(groups)))
             if all(decision.mapping == decision.heuristic_mapping
                    for decision in chosen):
                 # Every group keeps its heuristic: the override
@@ -688,36 +693,38 @@ class LaunchTuningPass(Pass):
                 overrides={group.group_id: decision.mapping
                            for group, decision in zip(groups, chosen)})
             if same_launch(tuned, work.launch):
-                # The search confirmed the heuristic — nothing to lower
-                # twice (the warm-cache compile-time bound).
+                # The search confirmed the heuristic: nothing to compare.
                 continue
-            verdict_key = TuningKey(group=sigs, spec=state.spec)
-            verdict = tuner.cache.get(verdict_key)
-            if verdict is None:
-                heuristic_kernels = lower_scope(state.graph, work.scope,
-                                                state.spec, work.analysis,
-                                                work.launch, cfg)
-                tuned_kernels = lower_scope(state.graph, work.scope,
-                                            state.spec, work.analysis,
-                                            tuned, cfg)
-                tuned_wins = engine.variant_time(tuned_kernels) \
-                    <= engine.variant_time(heuristic_kernels)
-                verdict = "tuned" if tuned_wins else "heuristic"
-                tuner.cache.put(verdict_key, verdict)
-                compared += 1
-            if verdict == "tuned":
-                # Its rebound scopes take the tuned launch too; only the
-                # comparison is the representative's alone (a per-scope
-                # compile finds the verdict cached for the rest).
-                work.launch = tuned
-                tuned_scopes += 1 + work.rebound
+            heuristic = lower_scope(state.graph, work.scope, state.spec,
+                                    work.analysis, work.launch, cfg)
+            candidate = lower_scope(state.graph, work.scope, state.spec,
+                                    work.analysis, tuned, cfg)
+            # Its rebound scopes take the representative's lowering.
+            scopes = 1 + work.rebound
+            compared += scopes
+            if engine.variant_time(candidate.kernels) \
+                    <= engine.variant_time(heuristic.kernels):
+                work.launch, work.lowering = tuned, candidate
+                tuned_scopes += scopes
+            else:
+                work.lowering = heuristic
         return {"tuned_scopes": tuned_scopes, "compared": compared}
 
 
-class BlockLocalityPass(Pass):
-    """Phase 5: block-locality checking / scheme finalization (Sec 4.2)."""
+class StitchLoweringPass(Pass):
+    """Phases 5-7: block-locality checking / scheme finalization
+    (Sec 4.2), memory-usage planning (Sec 4.2's hierarchical data
+    management: shared-memory budgeting, regional->global demotion,
+    global scratch), resource-aware launch configuration (Sec 4.5) and
+    stitch-op emission — one kernel per scope, or per component on the
+    regional-only fallback.
 
-    name = "block-locality"
+    Each representative keeps the lowering phase 4 left on it or is
+    lowered here (:func:`lower_scope`); its kernels are rebound onto
+    the other scopes of its class (:func:`rebind_kernel`).
+    """
+
+    name = "stitch-lowering"
     kind = "lower"
 
     def __init__(self, config: AStitchConfig):
@@ -728,91 +735,35 @@ class BlockLocalityPass(Pass):
 
     def run(self, state: CompileState) -> dict[str, Any]:
         counts = {scheme.name.lower(): 0 for scheme in StitchScheme}
-        fallbacks = 0
-        for work in representatives(state):
-            work.schemes, work.per_group = assign_scope_schemes(
-                state.graph, work.scope, work.analysis, work.launch,
-                self.config)
-            scopes = 1 + work.rebound
-            fallbacks += scopes * work.per_group
-            for scheme in work.schemes.values():
-                counts[scheme.name.lower()] += scopes
-        return {**counts, "per_group_fallbacks": fallbacks}
-
-
-class MemoryPlanningPass(Pass):
-    """Phase 6: memory-usage planning (Sec 4.2's hierarchical data
-    management: shared-memory budgeting, regional->global demotion,
-    global scratch)."""
-
-    name = "memory-planning"
-    kind = "lower"
-
-    def __init__(self, config: AStitchConfig):
-        self.config = config
-
-    def run(self, state: CompileState) -> dict[str, Any]:
-        smem = 0
-        components = 0
-        for work in representatives(state):
-            scopes = 1 + work.rebound
-            if work.per_group:
-                work.components = component_plans(
-                    state.graph, work.scope, work.analysis, work.launch,
-                    work.schemes, state.spec)
-                components += scopes * len(work.components)
-                smem += scopes * sum(c.plan.smem_per_block
-                                     for c in work.components)
-            else:
-                work.plan = plan_scope_memory(
-                    state.graph, work.analysis, work.launch,
-                    work.schemes, state.spec)
-                smem += scopes * work.plan.smem_per_block
-        return {"smem_bytes": smem, "components": components}
-
-
-class StitchCodegenPass(Pass):
-    """Phase 7: resource-aware launch configuration (Sec 4.5) and
-    stitch-op emission — one kernel per scope (or per component on the
-    regional-only fallback).  Each representative's kernels are rebound
-    onto the other scopes of its class (:func:`rebind_kernel`)."""
-
-    name = "resource-launch"
-    kind = "lower"
-
-    def __init__(self, config: AStitchConfig):
-        self.config = config
-
-    def run(self, state: CompileState) -> dict[str, Any]:
-        barriers = 0
-        lowered: dict[int, list[Kernel]] = {}
+        fallbacks = smem = components = barriers = 0
         for work in scope_works(state):
             representative = work.representative
             if representative is None:
-                kernels = lowered[work.scope.scope_id] = \
-                    self._emit(state, work)
+                if work.lowering is None:
+                    work.lowering = lower_scope(
+                        state.graph, work.scope, state.spec, work.analysis,
+                        work.launch, self.config)
+                lowering = work.lowering
+                kernels = lowering.kernels
             else:
+                lowering = representative.lowering
                 to = dict(zip(representative.scope.nodes, work.scope.nodes))
                 to.update(zip(representative.externals, work.externals))
                 name = f"stitch_{work.scope.scope_id}"
                 kernels = [
                     rebind_kernel(kernel, to, f"{name}_c{index}"
-                                  if representative.per_group else name)
-                    for index, kernel in enumerate(
-                        lowered[representative.scope.scope_id])]
+                                  if lowering.per_group else name)
+                    for index, kernel in enumerate(lowering.kernels)]
+            for scheme in lowering.schemes.values():
+                counts[scheme.name.lower()] += 1
+            fallbacks += lowering.per_group
+            components += len(kernels) if lowering.per_group else 0
+            smem += sum(kernel.smem_per_block for kernel in kernels)
             barriers += sum(kernel.num_global_barriers for kernel in kernels)
             state.kernels.extend(kernels)
-        return {"kernels": len(state.kernels), "barriers": barriers}
-
-    @staticmethod
-    def _emit(state: CompileState, work: ScopeWork) -> list[Kernel]:
-        if work.per_group:
-            return [emit_component_kernel(state.graph, work.scope, component)
-                    for component in work.components]
-        launch_cfg = configure_launch(state.spec, work.launch.block_size,
-                                      work.plan.smem_per_block)
-        return [emit_stitch_kernel(state.graph, work.scope, work.analysis,
-                                   work.launch, work.plan, launch_cfg)]
+        return {**counts, "per_group_fallbacks": fallbacks,
+                "smem_bytes": smem, "components": components,
+                "kernels": len(state.kernels), "barriers": barriers}
 
 
 def atm_mapping_factory(state: CompileState) -> MappingFn:
@@ -841,9 +792,5 @@ def stitching_passes(config: AStitchConfig) -> tuple[Pass, ...]:
     ]
     if config.tuning_enabled:
         passes.append(LaunchTuningPass(config))
-    passes.extend([
-        BlockLocalityPass(config),
-        MemoryPlanningPass(config),
-        StitchCodegenPass(config),
-    ])
+    passes.append(StitchLoweringPass(config))
     return tuple(passes)

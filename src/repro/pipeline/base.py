@@ -130,7 +130,7 @@ class PassReport:
         steps_before / steps_after: Scheduled-step counts around it
             (0 while the step list does not exist yet).
         detail: Pass-specific counters (rewrites applied, scopes found,
-            tuning verdicts, ...).
+            scopes tuned, ...).
     """
 
     pass_name: str

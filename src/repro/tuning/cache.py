@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Hashable
+from typing import TYPE_CHECKING, Any
 
 from repro.gpu.spec import GPUSpec
 from repro.store import ProcessDefault, TieredStore
+
+if TYPE_CHECKING:
+    from repro.tuning.tuner import GroupSignature
 
 # Bump on any change to the decision payload, the candidate space, the
 # signature encoding or the key composition; invalidates every
@@ -41,12 +44,11 @@ class TuningKey:
 
     Attributes:
         group: The group's :class:`~repro.tuning.tuner.GroupSignature`,
-            or the tuple of a scope's signatures for a scope-level
-            verdict — by value, like ``spec``.
+            by value, like ``spec``.
         spec: Device spec, by value — any field change is a miss.
     """
 
-    group: Hashable
+    group: GroupSignature
     spec: GPUSpec
 
     def digest(self) -> str:

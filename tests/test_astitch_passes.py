@@ -1,25 +1,25 @@
 """Unit tests for the extracted AStitch compilation passes.
 
-Each paper phase (Sec 4) is now a discrete pass over the shared
-``state.scratch["astitch"]`` work list; these tests run them phase by
-phase on small graphs and check what each one contributes — and that
-the phase-major decomposition reproduces the compiler's own kernels.
+Phases 1-4 (Sec 4) are discrete passes and phases 5-7 one lowering
+pass, over the shared ``state.scratch["astitch"]`` work list; these
+tests run them pass by pass on small graphs and check what each one
+contributes, that the phase-major decomposition reproduces the
+compiler's own kernels, and that each scope is lowered once (twice when
+the tuner compares two launches).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import AStitchCompiler
+from repro.core import AStitchCompiler, passes
 from repro.core.config import AStitchConfig
 from repro.core.passes import (
     SCRATCH_KEY,
-    BlockLocalityPass,
     DominantAnalysisPass,
     LaunchTuningPass,
-    MemoryPlanningPass,
     SchedulePropagationPass,
-    StitchCodegenPass,
+    StitchLoweringPass,
     StitchScopeIdentificationPass,
     lower_scope,
     same_launch,
@@ -29,7 +29,8 @@ from repro.core.passes import (
 from repro.core.schemes import StitchScheme
 from repro.gpu.spec import V100
 from repro.pipeline import CompileState, FusionKernelFormationPass
-from repro.workloads import micro
+from repro.runtime.engine import Engine
+from repro.workloads import build, micro
 
 CONFIG = AStitchConfig.heuristic_mappings()
 
@@ -43,9 +44,7 @@ def _phases(config):
     return [StitchScopeIdentificationPass(config),
             DominantAnalysisPass(config),
             SchedulePropagationPass(config),
-            BlockLocalityPass(config),
-            MemoryPlanningPass(config),
-            StitchCodegenPass(config)]
+            StitchLoweringPass(config)]
 
 
 def _run_through(state, config, last_pass_name):
@@ -104,48 +103,49 @@ class TestSchedulePropagation:
 class TestBlockLocality:
     def test_assigns_scheme_per_scope_node(self):
         state = _state()
-        details = _run_through(state, CONFIG, "block-locality")
+        details = _run_through(state, CONFIG, "stitch-lowering")
         for work in scope_works(state):
-            assert work.schemes
-            assert set(work.schemes) <= work.scope.node_set
+            schemes = work.lowering.schemes
+            assert schemes
+            assert set(schemes) <= work.scope.node_set
             assert all(isinstance(s, StitchScheme)
-                       for s in work.schemes.values())
-        counts = details["block-locality"]
+                       for s in schemes.values())
+        counts = details["stitch-lowering"]
         assert sum(counts[s.name.lower()] for s in StitchScheme) \
-            == sum(len(w.schemes) for w in scope_works(state))
+            == sum(len(w.lowering.schemes) for w in scope_works(state))
 
 
 class TestMemoryPlanning:
     def test_plans_every_scope(self):
         state = _state()
         detail = _run_through(state, CONFIG,
-                              "memory-planning")["memory-planning"]
+                              "stitch-lowering")["stitch-lowering"]
         smem = 0
         for work in scope_works(state):
-            if work.per_group:
-                assert work.components
-                smem += sum(c.plan.smem_per_block
-                            for c in work.components)
+            kernels = work.lowering.kernels
+            if work.lowering.per_group:
+                assert kernels
+                smem += sum(k.smem_per_block for k in kernels)
             else:
-                assert work.plan is not None
-                assert work.plan.smem_per_block \
+                assert len(kernels) == 1
+                assert kernels[0].smem_per_block \
                     <= V100.shared_memory_per_block
-                smem += work.plan.smem_per_block
+                smem += kernels[0].smem_per_block
         assert detail["smem_bytes"] == smem
 
 
 class TestCodegen:
     def test_emits_one_kernel_per_stitched_scope(self):
         state = _state()
-        _run_through(state, CONFIG, "resource-launch")
+        _run_through(state, CONFIG, "stitch-lowering")
         works = scope_works(state)
-        expected = sum(len(w.components) if w.per_group else 1
-                       for w in works)
+        expected = sum(len(w.lowering.kernels) if w.lowering.per_group
+                       else 1 for w in works)
         assert len(state.kernels) == expected
         names = [k.name for k in state.kernels]
         assert names == sorted(names, key=names.index)  # formation order
         for work in works:
-            if not work.per_group:
+            if not work.lowering.per_group:
                 assert f"stitch_{work.scope.scope_id}" in names
 
     def test_phase_major_matches_compiler(self):
@@ -153,7 +153,7 @@ class TestCodegen:
         kernels the compiler's own pipeline produces."""
         graph = micro.softmax_graph(64, 256)
         state = _state(graph)
-        _run_through(state, CONFIG, "resource-launch")
+        _run_through(state, CONFIG, "stitch-lowering")
         module = AStitchCompiler(CONFIG).compile(graph, V100)
         stitched = [k for k in module.kernels()
                     if k.name.startswith("stitch_")]
@@ -171,7 +171,7 @@ class TestLowerScope:
         _run_through(state, CONFIG, "schedule-propagation")
         work = scope_works(state)[0]
         kernels = lower_scope(state.graph, work.scope, V100,
-                              work.analysis, work.launch, CONFIG)
+                              work.analysis, work.launch, CONFIG).kernels
         assert len(kernels) >= 1
         assert kernels[0].name == f"stitch_{work.scope.scope_id}"
 
@@ -200,18 +200,62 @@ class TestTuningPass:
         assert changed == detail["tuned_scopes"]
 
 
+class TestOneLowering:
+    """A representative is lowered once, by the tuning pass or by the
+    lowering pass; a compared one twice, and the lowering that wins the
+    comparison is the one the module emits."""
+
+    @pytest.mark.parametrize("make, classes, compared", [
+        (lambda: micro.row_reduce(200, 200_000), 1, 1),
+        (lambda: build("CRNN", batch=17), 9, 4),
+    ], ids=["row_reduce-200x200000", "CRNN-17"])
+    def test_compared_scope_lowered_twice(self, make, classes, compared,
+                                          monkeypatch, fresh_caches):
+        calls = {"lowerings": 0, "comparisons": 0}
+        assign = passes.assign_scope_schemes
+        variant_time = Engine.variant_time
+
+        def counting_assign(*args, **kwargs):
+            calls["lowerings"] += 1
+            return assign(*args, **kwargs)
+
+        def counting_variant_time(engine, kernels):
+            calls["comparisons"] += 1
+            return variant_time(engine, kernels)
+
+        monkeypatch.setattr(passes, "assign_scope_schemes", counting_assign)
+        monkeypatch.setattr(Engine, "variant_time", counting_variant_time)
+        module = AStitchCompiler().compile(make(), V100)
+        details = {r.pass_name: r.detail for r in module.pass_reports}
+        assert details["schedule-propagation"]["scope_classes"] == classes
+        assert calls["comparisons"] == 2 * compared
+        assert calls["lowerings"] == classes + compared
+
+    def test_tuned_lowering_is_emitted(self, fresh_caches):
+        full = AStitchConfig.full()
+        state = _state(micro.row_reduce(200, 200_000))
+        for pass_obj in (StitchScopeIdentificationPass(full),
+                         DominantAnalysisPass(full),
+                         SchedulePropagationPass(full),
+                         LaunchTuningPass(full)):
+            pass_obj.run(state)
+        [work] = scope_works(state)
+        kernels = work.lowering.kernels
+        StitchLoweringPass(full).run(state)
+        assert [id(k) for k in state.kernels] == [id(k) for k in kernels]
+
+
 class TestPipelineAssembly:
     def test_full_config_with_tuning(self):
         names = [p.name for p in stitching_passes(AStitchConfig.full())]
         assert names == ["stitch-scope-id", "dominant-analysis",
                          "schedule-propagation", "launch-tuning",
-                         "block-locality", "memory-planning",
-                         "resource-launch"]
+                         "stitch-lowering"]
 
     def test_tuning_disabled_drops_the_pass(self):
         names = [p.name for p in stitching_passes(CONFIG)]
         assert "launch-tuning" not in names
-        assert len(names) == 6
+        assert len(names) == 4
 
     def test_atm_ablation_is_a_single_pass(self):
         config = AStitchConfig.adaptive_mapping_only()

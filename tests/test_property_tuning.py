@@ -5,17 +5,22 @@ dominants, with and without a global barrier, on V100, T4 and A100 —
 the tuned decision must never price worse than the heuristic, its
 winner must be a legal launch, and the durations it reports must equal
 the scalar reference :meth:`KernelCostModel._price_uncached` of the
-candidates' proxy inputs bit for bit.
+candidates' proxy inputs bit for bit.  One level up, a tuned module of
+a random irregular row reduce never plans slower than the heuristic
+module: the lowered comparison keeps whichever is cheaper.
 """
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.codegen.mapping import barrier_wave_limit, heuristic_mapping
 from repro.codegen.schedule import MappingKind
+from repro.core import AStitchCompiler, AStitchConfig
 from repro.gpu.costmodel import KernelCostModel
 from repro.gpu.spec import A100, T4, V100
+from repro.runtime.engine import Engine
 from repro.tuning import (GroupSignature, GroupTuner, TuningCache,
                           proxy_cost_inputs)
+from repro.workloads import micro
 
 SPECS = {spec.name: spec for spec in (V100, T4, A100)}
 
@@ -78,3 +83,25 @@ def test_tuned_decision_legal_and_never_worse(sig, device):
                            decision.heuristic_time)):
         want = reference._price_uncached(proxy_cost_inputs(sig, mapping))
         assert time.hex() == want.duration.hex()
+
+
+@st.composite
+def row_reduce_shapes(draw):
+    rows = draw(st.integers(1, 1 << 20))
+    cols = draw(st.integers(1, max(1, (1 << 30) // rows)))
+    return rows, cols
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None)
+@given(shape=row_reduce_shapes(), device=st.sampled_from(sorted(SPECS)))
+@example(shape=(200, 200_000), device="V100")
+@example(shape=(750_000, 32), device="T4")
+def test_tuned_module_never_plans_slower(shape, device):
+    spec = SPECS[device]
+    graph = micro.row_reduce(*shape)
+    engine = Engine(spec)
+    tuned = engine.plan(AStitchCompiler().compile(graph, spec))
+    heuristic = engine.plan(AStitchCompiler(
+        AStitchConfig.heuristic_mappings()).compile(graph, spec))
+    assert tuned.total_time <= heuristic.total_time * (1 + 1e-9)
