@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.codegen.kernel import Kernel, LibraryCall
+from repro.codegen.kernel import Kernel
 from repro.compilers.base import CompiledModule
 from repro.gpu.memory import MemorySpace
 from repro.ir.ops import OpKind
@@ -47,10 +47,7 @@ def measure_footprint(module: CompiledModule) -> FootprintReport:
     # Last step index that reads each value.
     last_reader: dict = {}
     for idx, step in enumerate(module.steps):
-        reads = (step.inputs if isinstance(step, Kernel)
-                 else step.node.operands
-                 if isinstance(step, LibraryCall) else ())
-        for value in reads:
+        for value in step.inputs:
             last_reader[value] = idx
 
     live_bytes = 0
@@ -64,17 +61,14 @@ def measure_footprint(module: CompiledModule) -> FootprintReport:
         # In-kernel global scratch exists only while the kernel runs.
         scratch = 0
         if isinstance(step, Kernel):
+            stored = set(step.outputs)
             for node, space in step.placements.items():
-                if space is MemorySpace.GLOBAL \
-                        and node not in set(step.outputs):
+                if space is MemorySpace.GLOBAL and node not in stored:
                     scratch += node.num_elements * node.dtype.nbytes
         scratch_peak = max(scratch_peak, scratch)
         peak = max(peak, live_bytes + scratch)
 
-        writes = (step.outputs if isinstance(step, Kernel)
-                  else (step.node,)
-                  if isinstance(step, LibraryCall) else ())
-        for value in writes:
+        for value in step.outputs:
             if value.kind is OpKind.PARAMETER or value in outputs:
                 continue
             nbytes = value.num_elements * value.dtype.nbytes

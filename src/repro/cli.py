@@ -493,9 +493,6 @@ def cmd_passes(args) -> int:
 
     for name, compiler in compilers.items():
         pipeline = compiler.build_pipeline()
-        if pipeline is None:
-            print(f"{name}: no declared pipeline")
-            continue
         rows = [[index, p.name, p.kind, p.signature()]
                 for index, p in enumerate(pipeline.passes)]
         print(render_table(

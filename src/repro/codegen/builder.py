@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from typing import Optional
 
 from repro.codegen.kernel import Kernel
-from repro.codegen.schedule import MappingKind, ThreadMapping
+from repro.codegen.schedule import ThreadMapping
 from repro.gpu.costmodel import KernelCostInputs
 from repro.gpu.memory import MemorySpace
 from repro.ir.graph import Graph, Node
@@ -183,12 +183,8 @@ def _derive_cost_inputs(kernel: Kernel) -> KernelCostInputs:
 
     smem = kernel.smem_per_block or kernel_smem_bytes(kernel)
 
-    atomic_rounds = kernel.extra_atomic_rounds
-    if kernel.mapping.uses_atomics:
-        atomic_rounds += 1
-    elif kernel.mapping.kind is MappingKind.COLUMN_REDUCE:
-        # Column reduction combines strided partials with atomics.
-        atomic_rounds += 1
+    atomic_rounds = (kernel.extra_atomic_rounds
+                     + int(kernel.mapping.accumulates))
 
     return KernelCostInputs(
         grid_size=kernel.mapping.grid_size,

@@ -172,8 +172,7 @@ class CudaSourceEmitter:
         if kind is ReduceKind.MEAN:
             self._emit(f"{acc} /= {width}.0f;")
         target = self._storage_for(node)
-        if (mapping.uses_atomics or self.kernel.extra_atomic_rounds > 0
-                or mapping.kind is MappingKind.COLUMN_REDUCE):
+        if mapping.accumulates or self.kernel.extra_atomic_rounds > 0:
             self._emit(f"if (lane == 0) atomicAdd(&{target}[row], "
                        f"{acc});  // cross-block combine")
         else:

@@ -8,12 +8,15 @@ A compiled module is an ordered list of steps:
 * :class:`LibraryCall` — a compute-intensive node dispatched to the
   "cuBLAS/cuDNN" path;
 * :class:`MemcpyCall` — a CUDA memcpy/memset activity (Table 3's CPY row).
+
+Every step exposes the values it loads (``inputs``) and stores
+(``outputs``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
+from typing import ClassVar, Union
 
 from repro.codegen.schedule import ThreadMapping
 from repro.gpu.memory import MemorySpace
@@ -101,6 +104,16 @@ class LibraryCall:
     def name(self) -> str:
         return self.node.name
 
+    @property
+    def inputs(self) -> tuple[Node, ...]:
+        """Values the call loads (its node's operands)."""
+        return tuple(self.node.operands)
+
+    @property
+    def outputs(self) -> tuple[Node, ...]:
+        """Values the call stores (its node)."""
+        return (self.node,)
+
     def flops(self) -> float:
         """Nominal FLOPs of the library call (for the roofline price)."""
         node = self.node
@@ -133,6 +146,10 @@ class MemcpyCall:
 
     nbytes: int
     tag: str = "memcpy"
+
+    # A memcpy moves no graph value, so no step waits on it.
+    inputs: ClassVar[tuple[Node, ...]] = ()
+    outputs: ClassVar[tuple[Node, ...]] = ()
 
     @property
     def name(self) -> str:

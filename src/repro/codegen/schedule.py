@@ -70,6 +70,13 @@ class ThreadMapping:
     def uses_atomics(self) -> bool:
         return self.blocks_per_row > 1
 
+    @property
+    def accumulates(self) -> bool:
+        """Partials are combined into the output with atomics: a split
+        row, or a column reduction's strided partials.  Such an output
+        is zeroed first and costs one atomic round."""
+        return self.uses_atomics or self.kind is MappingKind.COLUMN_REDUCE
+
     def sort_key(self) -> tuple:
         """Total deterministic order over mappings.
 

@@ -12,16 +12,18 @@ from __future__ import annotations
 import abc
 import dataclasses
 from collections.abc import Iterable, Mapping
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.codegen.executor import ModuleExecutor
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall, Step
-from repro.codegen.schedule import MappingKind
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
+
+if TYPE_CHECKING:
+    from repro.pipeline.base import PassReport, Pipeline
 
 
 class CompilationError(RuntimeError):
@@ -99,6 +101,11 @@ class CompiledModule:
             config produced the launch configurations); folded into the
             plan-cache pricing signature so cached execution plans
             invalidate when the decision changes.
+        pass_reports: One :class:`~repro.pipeline.base.PassReport` per
+            pass of the compilation that produced the module, with wall
+            times, so equality ignores it.
+        pipeline_fingerprint: The composition digest of that pipeline,
+            folded into the plan-cache key.
     """
 
     graph: Graph
@@ -108,6 +115,10 @@ class CompiledModule:
     graph_replay: bool = False
     compile_seconds: float = 0.0
     codegen_tag: str = ""
+    pass_reports: tuple["PassReport", ...] = dataclasses.field(
+        default=(), compare=False)
+    pipeline_fingerprint: str = dataclasses.field(default="",
+                                                  compare=False)
 
     def kernels(self) -> list[Kernel]:
         return [s for s in self.steps if isinstance(s, Kernel)]
@@ -144,39 +155,46 @@ class CompiledModule:
 class Compiler(abc.ABC):
     """A graph -> module compilation strategy.
 
-    Every shipped compiler declares its plan as a
+    Every compiler declares its plan as a
     :class:`~repro.pipeline.base.Pipeline` via :meth:`build_pipeline`;
-    ``compile`` then runs it through the instrumented
+    :meth:`compile` runs it through the instrumented
     :class:`~repro.pipeline.manager.PassManager`, so per-pass timing and
     IR deltas ride on every module (``module.pass_reports``) along with
-    the composition digest (``module.pipeline_fingerprint``).  A
-    subclass may instead override :meth:`compile` directly (test
-    doubles do); such compilers have no pipeline and no fingerprint.
+    the composition digest (``module.pipeline_fingerprint``).  That
+    digest is the compiler's identity in every cache key.
     """
 
     name: str = "base"
 
-    def build_pipeline(self) -> Optional["Pipeline"]:
-        """This compiler's declared pass pipeline (None when the
-        subclass overrides :meth:`compile` directly)."""
-        return None
+    @abc.abstractmethod
+    def build_pipeline(self) -> "Pipeline":
+        """This compiler's declared pass pipeline."""
 
-    def compile(self, graph: Graph, spec: GPUSpec = V100) -> CompiledModule:
-        """Compile ``graph`` for device ``spec``."""
-        run = self.run_pipeline(graph, spec)
-        return run.module
+    def compile(self, graph: Graph, spec: GPUSpec = V100, *,
+                optimize: bool = False) -> CompiledModule:
+        """Compile ``graph`` for device ``spec``.
+
+        Args:
+            optimize: Run the retained XLA-style simplification pipeline
+                (:mod:`repro.ir.passes`) before kernel formation — what
+                Sec 5 means by "retains all the optimizations of XLA
+                except fusion".
+        """
+        return self.run_pipeline(graph, spec, optimize=optimize).module
 
     def compile_optimized(self, graph: Graph,
                           spec: GPUSpec = V100) -> CompiledModule:
-        """Run the retained XLA-style simplification pipeline
-        (:mod:`repro.ir.passes`) before kernel formation — what Sec 5
-        means by "retains all the optimizations of XLA except fusion"."""
+        """``compile(graph, spec, optimize=True)``."""
+        return self.compile(graph, spec, optimize=True)
+
+    def _pipeline(self, optimize: bool) -> "Pipeline":
+        """The pipeline a compile with ``optimize`` runs: the declared
+        one, behind the simplification fixpoint when optimizing."""
         pipeline = self.build_pipeline()
-        if pipeline is None:
-            from repro.ir.passes import optimize
-            optimized, _ = optimize(graph)
-            return self.compile(optimized, spec)
-        return self.run_pipeline(graph, spec, optimize=True).module
+        if optimize:
+            from repro.pipeline.lowering import optimized_pipeline
+            pipeline = optimized_pipeline(pipeline)
+        return pipeline
 
     def run_pipeline(self, graph: Graph, spec: GPUSpec = V100, *,
                      optimize: bool = False, validate: bool = False):
@@ -185,35 +203,18 @@ class Compiler(abc.ABC):
         reports).
 
         Args:
-            optimize: Prepend the simplification fixpoint
-                (``compile_optimized``'s pipeline).
+            optimize: Prepend the simplification fixpoint.
             validate: Check IR invariants between graph passes.
-
-        Raises:
-            NotImplementedError: When the compiler declares no pipeline
-                and does not override :meth:`compile`.
         """
-        pipeline = self.build_pipeline()
-        if pipeline is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} declares no pipeline; override "
-                f"build_pipeline() or compile()")
         from repro.pipeline.manager import PassManager
-        if optimize:
-            from repro.pipeline.lowering import optimized_pipeline
-            pipeline = optimized_pipeline(pipeline)
-        return PassManager(pipeline, validate=validate).run(graph, spec)
+        return PassManager(self._pipeline(optimize),
+                           validate=validate).run(graph, spec)
 
     def pipeline_fingerprint(self, optimize: bool = False) -> str:
-        """The composition digest of this compiler's pipeline ("" when
-        it has none) — folded into compile-cache and plan-cache keys."""
-        pipeline = self.build_pipeline()
-        if pipeline is None:
-            return ""
-        if optimize:
-            from repro.pipeline.lowering import optimized_pipeline
-            pipeline = optimized_pipeline(pipeline)
-        return pipeline.fingerprint()
+        """The composition digest of the pipeline a compile with
+        ``optimize`` runs: the compiler's identity in compile-cache and
+        plan-cache keys."""
+        return self._pipeline(optimize).fingerprint()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -241,19 +242,13 @@ def order_steps(graph: Graph,
 
     producer: dict[Node, int] = {}
     for idx, step in enumerate(steps):
-        outputs = step.outputs if isinstance(step, Kernel) else (step.node,)
-        for value in outputs:
+        for value in step.outputs:
             producer[value] = idx
-
-    def step_inputs(step: Step) -> tuple[Node, ...]:
-        if isinstance(step, Kernel):
-            return step.inputs
-        return tuple(step.node.operands)
 
     dependents: dict[int, list[int]] = {i: [] for i in range(len(steps))}
     in_degree = [0] * len(steps)
     for idx, step in enumerate(steps):
-        for value in step_inputs(step):
+        for value in step.inputs:
             if value.kind in (OpKind.PARAMETER, OpKind.CONSTANT):
                 continue
             if value not in producer:
@@ -334,8 +329,7 @@ def kernel_memcpys(kernels: Iterable[Kernel]) -> list[MemcpyCall]:
     mappings, so variant comparisons must account for them."""
     calls: list[MemcpyCall] = []
     for kernel in kernels:
-        needs_memset = (kernel.mapping.uses_atomics
-                        or kernel.mapping.kind is MappingKind.COLUMN_REDUCE
+        needs_memset = (kernel.mapping.accumulates
                         or kernel.extra_atomic_rounds > 0)
         if needs_memset:
             total = sum(o.num_elements * o.dtype.nbytes

@@ -20,7 +20,6 @@ Checked invariants:
 
 from __future__ import annotations
 
-from repro.codegen.kernel import Kernel, MemcpyCall
 from repro.compilers.base import CompiledModule
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.ops import OpKind
@@ -59,20 +58,14 @@ def collect_violations(module: CompiledModule,
     available = set(graph.parameters)
     producers: dict = {}
     for step in module.steps:
-        if isinstance(step, MemcpyCall):
-            continue
-        reads = (step.inputs if isinstance(step, Kernel)
-                 else step.node.operands)
-        for value in reads:
+        for value in step.inputs:
             if value in available:
                 continue
             if value.kind is OpKind.CONSTANT:
                 continue
             errors.append(f"step {step.name} reads {value.name} before "
                           f"any store")
-        writes = (step.outputs if isinstance(step, Kernel)
-                  else (step.node,))
-        for value in writes:
+        for value in step.outputs:
             if value in producers and producers[value] is not step:
                 errors.append(f"{value.name} stored by both "
                               f"{producers[value].name} and {step.name}")

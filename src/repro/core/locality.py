@@ -25,7 +25,7 @@ still demote regional values to global when shared memory overflows
 
 from __future__ import annotations
 
-from repro.codegen.schedule import MappingKind, ThreadMapping
+from repro.codegen.schedule import ThreadMapping
 from repro.core.dominants import ScopeAnalysis
 from repro.core.schemes import StitchScheme
 from repro.ir.graph import Graph, Node
@@ -34,9 +34,7 @@ from repro.ir.ops import OpKind
 
 def _row_aligned_mapping(mapping: ThreadMapping) -> bool:
     """Schedules whose blocks own contiguous, non-overlapping row ranges."""
-    if mapping.kind is MappingKind.COLUMN_REDUCE:
-        return False
-    return not mapping.uses_atomics
+    return not mapping.accumulates
 
 
 def _row_aligned_edge(value: Node, consumer: Node) -> bool:

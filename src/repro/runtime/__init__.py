@@ -20,7 +20,6 @@ from repro.runtime.plan import (
 from repro.runtime.compile_cache import (
     CacheKey,
     CompileCache,
-    compiler_fingerprint,
     default_cache,
     set_default_cache,
 )
@@ -43,7 +42,7 @@ __all__ = ["Engine", "EngineConfig", "StepProfile",
            "default_plan_cache", "module_pricing_signature", "plan_key",
            "set_default_plan_cache",
            "CacheKey", "CompileCache", "StoreStats",
-           "compiler_fingerprint", "default_cache", "set_default_cache",
+           "default_cache", "set_default_cache",
            "CompileService", "ServiceStats", "WarmupReport",
            "default_service", "set_default_service",
            "JitCache", "JitStats",

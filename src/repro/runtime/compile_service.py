@@ -11,6 +11,9 @@ adds:
   ``REPRO_COMPILE_CACHE_DIR`` is set, the persistent tier) before
   serving traffic.
 
+A request is keyed by (pipeline fingerprint, graph fingerprint, spec),
+and a miss runs ``compiler.compile(graph, spec, optimize=...)``.
+
 Compiles run on the calling thread.  JIT cost is paid once per key
 (Sec 6.4.1), and the compilers are pure Python, so a worker pool under
 the interpreter lock would only add thread hand-offs.
@@ -33,12 +36,7 @@ from repro.compilers.base import CompiledModule, Compiler
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.fingerprint import graph_fingerprint
 from repro.ir.graph import Graph
-from repro.runtime.compile_cache import (
-    CacheKey,
-    CompileCache,
-    compiler_fingerprint,
-    default_cache,
-)
+from repro.runtime.compile_cache import CacheKey, CompileCache, default_cache
 from repro.store import ProcessDefault
 
 
@@ -106,10 +104,8 @@ class CompileService:
     def key_for(self, graph: Graph, compiler: Compiler,
                 spec: GPUSpec = V100, optimize: bool = False) -> CacheKey:
         """The cache key a request addresses."""
-        return CacheKey(compiler=compiler_fingerprint(compiler),
-                        graph=graph_fingerprint(graph),
-                        spec=spec.name, optimize=optimize,
-                        pipeline=compiler.pipeline_fingerprint(optimize))
+        return CacheKey(pipeline=compiler.pipeline_fingerprint(optimize),
+                        graph=graph_fingerprint(graph), spec=spec)
 
     def compile(self, graph: Graph, compiler: Compiler,
                 spec: GPUSpec = V100, *,
@@ -136,8 +132,7 @@ class CompileService:
         if pending is not None:
             return pending.result()
         try:
-            module = (compiler.compile_optimized(graph, spec) if optimize
-                      else compiler.compile(graph, spec))
+            module = compiler.compile(graph, spec, optimize=optimize)
             self.cache.put(key, module)
         except BaseException as error:  # noqa: BLE001 — relayed
             with self._lock:

@@ -9,7 +9,9 @@ authors' DISC follow-up ([59]): a cache of compiled modules keyed by the
 input-shape signature, with an optional power-of-two bucketing policy
 that trades a little padding for far fewer compilations.
 
-Cold compilations are routed through the shared
+Entries are keyed by the factory object and the bucketed dims, never by
+the factory's name: sibling closures share a qualified name but build
+different graphs.  Cold compilations are routed through the shared
 :class:`~repro.runtime.compile_service.CompileService`, so a shape
 bucket compiled by one ``JitCache`` (or a ``Session``, or a benchmark
 sweep) is a cache hit for every other one.
@@ -93,18 +95,12 @@ class JitCache:
 
         Args:
             factory: Builds the graph for given named dimensions; called
-                with the *bucketed* dims on a cache miss.
+                with the *bucketed* dims on a cache miss.  Keyed by the
+                object itself, so reuse one factory per workload.
             dims: The request's concrete dynamic dimensions.
         """
         bucket = bucket_dims(dims, self.policy)
-        # Factories named by module + qualname: two functions both
-        # called "build" in different modules must not alias each
-        # other's compiled modules.
-        identity = (getattr(factory, "__module__", None),
-                    getattr(factory, "__qualname__", None))
-        if identity == (None, None):
-            identity = (repr(factory), "")
-        key = (identity, tuple(sorted(bucket.items())))
+        key = (factory, tuple(sorted(bucket.items())))
         module = self._modules.get(key)
         if module is None:
             graph = factory(**bucket)

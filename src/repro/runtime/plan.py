@@ -25,8 +25,8 @@ The cache key never trusts object identity:
 
 Plans live in the shared :class:`~repro.store.TieredStore`: a bounded
 in-memory LRU and — when ``REPRO_COMPILE_CACHE_DIR`` is set —
-``plan_<digest>.pkl`` files next to the persisted compiled modules, so
-a warm process leaves behind both the artifact and its price.
+``plan_<key_digest>.pkl`` files next to the persisted compiled modules,
+so a warm process leaves behind both the artifact and its price.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def module_pricing_signature(module: CompiledModule) -> str:
     digest.update(
         f"plan-sig-v{PLAN_FORMAT_VERSION}|{module.compiler_name}"
         f"|{module.framework_mode}|{module.graph_replay}"
-        f"|{getattr(module, 'codegen_tag', '')}".encode("utf-8"))
+        f"|{module.codegen_tag}".encode("utf-8"))
     for step in module.steps:
         if isinstance(step, Kernel):
             entry = ("k", _cost_fields(kernel_cost_inputs(step)))
@@ -174,7 +174,7 @@ class PlanKey:
         spec: Device spec, by value — any field change is a miss.
         config: Engine configuration, by value.
         pipeline: The pipeline-composition fingerprint the module was
-            compiled under ("" for modules from non-pipeline compilers).
+            compiled under ("" for a module assembled by hand).
             The pricing signature already covers everything the plan
             *reads*; this field additionally re-keys plans when the pass
             composition changes, mirroring the compile cache, so a
@@ -187,16 +187,6 @@ class PlanKey:
     config: EngineConfig
     pipeline: str = ""
 
-    def digest(self) -> str:
-        """Stable hex digest — the persistent tier's file name."""
-        text = "|".join([
-            f"plan-v{PLAN_FORMAT_VERSION}", self.module, self.graph,
-            repr(dataclasses.astuple(self.spec)),
-            repr(dataclasses.astuple(self.config)),
-            self.pipeline,
-        ])
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 def plan_key(module: CompiledModule, spec: GPUSpec,
              config: EngineConfig) -> PlanKey:
@@ -204,12 +194,12 @@ def plan_key(module: CompiledModule, spec: GPUSpec,
     return PlanKey(module=module_pricing_signature(module),
                    graph=graph_fingerprint(module.graph),
                    spec=spec, config=config,
-                   pipeline=getattr(module, "pipeline_fingerprint", ""))
+                   pipeline=module.pipeline_fingerprint)
 
 
 class PlanCache(TieredStore[PlanKey, ExecutionPlan]):
-    """Two-tier store of execution plans (``plan_<digest>.pkl`` on disk,
-    beside the compiled modules)."""
+    """Two-tier store of execution plans (``plan_<key_digest>.pkl`` on
+    disk, beside the compiled modules)."""
 
     prefix = "plan_"
     version = PLAN_FORMAT_VERSION

@@ -128,13 +128,11 @@ class Session:
         """Per-pass instrumentation of ``graph``'s compilation.
 
         One :class:`~repro.pipeline.base.PassReport` per pipeline pass,
-        in execution order (compiling on first use).  Empty for
-        compilers without a declared pipeline.  Reports ride the module
-        itself, so a module served from the compile cache still carries
-        the timing of the compilation that produced it.
+        in execution order (compiling on first use).  Reports ride the
+        module itself, so a module served from the compile cache still
+        carries the timing of the compilation that produced it.
         """
-        module = self.module(graph)
-        return tuple(getattr(module, "pass_reports", ()) or ())
+        return self.module(graph).pass_reports
 
     def pass_timing(self, graph: Graph) -> dict[str, float]:
         """Pass name -> wall seconds for ``graph``'s compilation."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
+from repro.codegen.kernel import MemcpyCall
 from repro.compilers.base import CompiledModule
 from repro.gpu.spec import GPUSpec, V100
 from repro.ir.ops import OpKind
@@ -80,18 +80,12 @@ def _step_dependencies(module: CompiledModule) -> list[list[int]]:
     """For each step index, the indices of steps it must wait for."""
     producer: dict = {}
     for idx, step in enumerate(module.steps):
-        outputs = (step.outputs if isinstance(step, Kernel)
-                   else (step.node,) if isinstance(step, LibraryCall)
-                   else ())
-        for value in outputs:
+        for value in step.outputs:
             producer[value] = idx
     deps: list[list[int]] = []
     for idx, step in enumerate(module.steps):
-        reads = (step.inputs if isinstance(step, Kernel)
-                 else step.node.operands
-                 if isinstance(step, LibraryCall) else ())
         wanted = []
-        for value in reads:
+        for value in step.inputs:
             if value.kind in (OpKind.PARAMETER, OpKind.CONSTANT):
                 continue
             dep = producer.get(value)

@@ -11,8 +11,11 @@ Two tiers:
 * a bounded in-memory LRU with hit/miss/eviction counters
   (:class:`StoreStats`);
 * an optional on-disk tier of pickled entries under a cache directory,
-  ``<prefix><key.digest()>.pkl``.  Point ``REPRO_COMPILE_CACHE_DIR`` at
-  a persistent location and the process-wide stores survive restarts.
+  ``<prefix><key_digest(key)>.pkl``.  Point ``REPRO_COMPILE_CACHE_DIR``
+  at a persistent location and the process-wide stores survive restarts.
+
+Keys hold values, never names: compile, plan and tuning keys all carry
+the whole device spec.  :func:`key_digest` names every persisted file.
 
 Every process-wide memo of the package registers here by name
 (:func:`register`); :func:`reset_caches` clears them all.
@@ -69,6 +72,14 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
+def key_digest(key: Hashable) -> str:
+    """The file-name stem of ``key``'s persisted entry: sha256 of its
+    repr, which is stable across processes for the frozen-dataclass
+    keys every store uses.  A load still checks the full key, format
+    version and :func:`source_digest` in the entry's header."""
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
 @dataclasses.dataclass
 class StoreStats:
     """Store behaviour counters.
@@ -105,8 +116,8 @@ class StoreStats:
 class TieredStore(Generic[K, V]):
     """Two-tier (memory LRU + optional disk) store of ``V`` by ``K``.
 
-    Keys must be hashable; a store with a disk tier also needs keys
-    that expose ``digest()`` (a stable hex string, the file name).  A
+    Keys must be hashable; a store with a disk tier names each entry's
+    file by :func:`key_digest`, so its keys also need a stable repr.  A
     configured store is a subclass that sets the class attributes
     below; the bare class is a memory-only LRU.
 
@@ -210,7 +221,7 @@ class TieredStore(Generic[K, V]):
     # -- persistent tier ----------------------------------------------------
 
     def _path(self, key: K) -> pathlib.Path:
-        return self.cache_dir / f"{self.prefix}{key.digest()}.pkl"
+        return self.cache_dir / f"{self.prefix}{key_digest(key)}.pkl"
 
     def _load(self, key: K) -> Optional[V]:
         try:

@@ -11,15 +11,14 @@ session, in any process — never pays the candidate sweep again.
 
 Decisions live in the shared :class:`~repro.store.TieredStore`, like
 compiled modules and plans: a bounded in-memory LRU and
-``tune_<digest>.pkl`` files in the same ``REPRO_COMPILE_CACHE_DIR``
-directory.  A stale or foreign file degrades to a miss, never a wrong
-config.
+``tune_<key_digest>.pkl`` files in the same
+``REPRO_COMPILE_CACHE_DIR`` directory.  A stale or foreign file degrades
+to a miss, never a wrong config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import TYPE_CHECKING, Any
 
 from repro.gpu.spec import GPUSpec
@@ -51,18 +50,10 @@ class TuningKey:
     group: GroupSignature
     spec: GPUSpec
 
-    def digest(self) -> str:
-        """Stable hex digest — the persistent tier's file name."""
-        text = "|".join([
-            f"tune-v{TUNING_FORMAT_VERSION}", repr(self.group),
-            repr(dataclasses.astuple(self.spec)),
-        ])
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 class TuningCache(TieredStore[TuningKey, Any]):
-    """Two-tier store of tuned decisions (``tune_<digest>.pkl`` on disk,
-    beside the compiled modules and plans)."""
+    """Two-tier store of tuned decisions (``tune_<key_digest>.pkl`` on
+    disk, beside the compiled modules and plans)."""
 
     prefix = "tune_"
     version = TUNING_FORMAT_VERSION

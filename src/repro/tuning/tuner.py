@@ -181,11 +181,6 @@ def proxy_cost_inputs(sig: GroupSignature,
     """Cost-model inputs for one candidate: the group's traffic under
     the candidate's launch geometry (same atomic-round accounting as
     :func:`repro.codegen.builder.kernel_cost_inputs`)."""
-    atomic_rounds = 0
-    if mapping.uses_atomics:
-        atomic_rounds = 1
-    elif mapping.kind is MappingKind.COLUMN_REDUCE:
-        atomic_rounds = 1
     return KernelCostInputs(
         grid_size=mapping.grid_size,
         block_size=mapping.block_size,
@@ -194,7 +189,7 @@ def proxy_cost_inputs(sig: GroupSignature,
         fp_instructions=sig.fp_instructions,
         regs_per_thread=ASSUMED_REGISTER_BOUND,
         smem_per_block=0,
-        num_atomic_rounds=atomic_rounds,
+        num_atomic_rounds=int(mapping.accumulates),
     )
 
 
@@ -272,7 +267,7 @@ class GroupTuner:
                              sig.fp_instructions,
                              sig.kind == MappingKind.COLUMN_REDUCE.value)
                             for sig in sigs]).repeat(counts, axis=0)
-        # Same atomic-round rule as proxy_cost_inputs.
+        # ThreadMapping.accumulates, one column for every candidate.
         atomic_rounds = (blocks_per_row > 1) | (per_sig[:, 3] > 0)
         times = self.model.launch_durations(
             grid, block, per_sig[:, 0], per_sig[:, 1], per_sig[:, 2],

@@ -1,5 +1,6 @@
 """Tests for the content-addressed compilation cache."""
 
+import dataclasses
 import pickle
 import sys
 import threading
@@ -18,19 +19,17 @@ from repro.runtime.compile_cache import (
     CACHE_FORMAT_VERSION,
     CacheKey,
     CompileCache,
-    compiler_fingerprint,
 )
 from repro.runtime.compile_service import CompileService
 from repro.runtime.plan import PlanCache, module_pricing_signature
-from repro.store import source_digest
+from repro.store import key_digest, source_digest
 from repro.workloads import micro
 
 
 def _key(graph, compiler=None, spec=V100, optimize=False):
     compiler = compiler or AStitchCompiler()
-    return CacheKey(compiler=compiler_fingerprint(compiler),
-                    graph=graph_fingerprint(graph),
-                    spec=spec.name, optimize=optimize)
+    return CacheKey(pipeline=compiler.pipeline_fingerprint(optimize),
+                    graph=graph_fingerprint(graph), spec=spec)
 
 
 def _compile(graph, compiler=None, spec=V100):
@@ -49,19 +48,21 @@ def _tanh_chain(length, width=64):
 
 
 class TestCompilerFingerprint:
+    """The pipeline fingerprint is the compiler's identity in keys."""
+
     def test_distinct_strategies_differ(self):
-        assert (compiler_fingerprint(AStitchCompiler())
-                != compiler_fingerprint(XLACompiler()))
+        assert (AStitchCompiler().pipeline_fingerprint()
+                != XLACompiler().pipeline_fingerprint())
 
     def test_config_is_part_of_identity(self):
         full = AStitchCompiler()
         ablated = AStitchCompiler(AStitchConfig.adaptive_mapping_only())
-        assert (compiler_fingerprint(full)
-                != compiler_fingerprint(ablated))
+        assert (full.pipeline_fingerprint()
+                != ablated.pipeline_fingerprint())
 
     def test_same_strategy_same_fingerprint(self):
-        assert (compiler_fingerprint(AStitchCompiler())
-                == compiler_fingerprint(AStitchCompiler()))
+        assert (AStitchCompiler().pipeline_fingerprint()
+                == AStitchCompiler().pipeline_fingerprint())
 
 
 class TestCacheKey:
@@ -72,11 +73,14 @@ class TestCacheKey:
         assert base != _key(micro.softmax_graph(8, 9))
         assert base != _key(graph, spec=T4)
         assert base != _key(graph, optimize=True)
+        # A variant that keeps the device's name is another device.
+        assert base != _key(graph, spec=dataclasses.replace(
+            V100, max_threads_per_block=512))
 
     def test_digest_stable_and_distinct(self):
         graph = micro.softmax_graph(8, 8)
-        assert _key(graph).digest() == _key(graph).digest()
-        assert _key(graph).digest() != _key(graph, spec=T4).digest()
+        assert key_digest(_key(graph)) == key_digest(_key(graph))
+        assert key_digest(_key(graph)) != key_digest(_key(graph, spec=T4))
 
 
 class TestPersistentTier:
@@ -99,7 +103,7 @@ class TestPersistentTier:
         graph = micro.softmax_graph(8, 8)
         key = _key(graph)
         CompileCache(cache_dir=tmp_path).put(key, _compile(graph))
-        path = tmp_path / f"{key.digest()}.pkl"
+        path = tmp_path / f"{key_digest(key)}.pkl"
         path.write_bytes(b"not a pickle")
         cache = CompileCache(cache_dir=tmp_path)
         assert cache.get(key) is None
@@ -111,7 +115,7 @@ class TestPersistentTier:
         module = _compile(graph)
         stale = {"version": CACHE_FORMAT_VERSION + 1,
                  "code": source_digest(), "key": key, "value": module}
-        path = tmp_path / f"{key.digest()}.pkl"
+        path = tmp_path / f"{key_digest(key)}.pkl"
         path.write_bytes(pickle.dumps(stale))
         assert CompileCache(cache_dir=tmp_path).get(key) is None
 
@@ -124,7 +128,7 @@ class TestPersistentTier:
         payload = {"version": CACHE_FORMAT_VERSION,
                    "code": source_digest(), "key": other,
                    "value": _compile(graph)}
-        path = tmp_path / f"{key.digest()}.pkl"
+        path = tmp_path / f"{key_digest(key)}.pkl"
         path.write_bytes(pickle.dumps(payload))
         assert CompileCache(cache_dir=tmp_path).get(key) is None
 

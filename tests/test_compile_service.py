@@ -1,5 +1,6 @@
 """Tests for the deduplicating compile service."""
 
+import dataclasses
 import threading
 import time
 
@@ -7,8 +8,10 @@ import pytest
 
 from repro.compilers import XLACompiler
 from repro.compilers.base import Compiler
+from repro.compilers.verify import verify_module
 from repro.core import AStitchCompiler
 from repro.gpu.spec import V100
+from repro.pipeline.base import Pipeline
 from repro.runtime import JitCache, Session
 from repro.runtime.compile_cache import CompileCache
 from repro.runtime.compile_service import CompileService, default_service
@@ -26,13 +29,16 @@ class CountingCompiler(Compiler):
         self.calls = 0
         self._lock = threading.Lock()
 
-    def compile(self, graph, spec=V100):
+    def build_pipeline(self):
+        return self.inner.build_pipeline()
+
+    def compile(self, graph, spec=V100, *, optimize=False):
         """Delegate to XLA after counting the invocation."""
         with self._lock:
             self.calls += 1
         if self.delay:
             time.sleep(self.delay)
-        return self.inner.compile(graph, spec)
+        return self.inner.compile(graph, spec, optimize=optimize)
 
 
 class FailingCompiler(Compiler):
@@ -44,7 +50,10 @@ class FailingCompiler(Compiler):
     def __init__(self, delay: float = 0.0):
         self.delay = delay
 
-    def compile(self, graph, spec=V100):
+    def build_pipeline(self):
+        return Pipeline(name="failing", passes=())
+
+    def compile(self, graph, spec=V100, *, optimize=False):
         """Raise, as e.g. TensorRT does on training graphs."""
         type(self).calls += 1
         if self.delay:
@@ -109,6 +118,22 @@ class TestCaching:
         service.compile(micro.softmax_graph(8, 8), compiler,
                         optimize=True)
         assert compiler.calls == 3
+
+    def test_same_named_spec_variant_compiles_fresh(self):
+        # Adaptive mapping reads the block ceiling (Sec 3.3): a V100
+        # with 512-thread blocks must get its own module, never the one
+        # compiled for the 1024-thread V100 it shares a name with.
+        service = _service()
+        graph = micro.softmax_graph(1024, 256)
+        variant = dataclasses.replace(V100, max_threads_per_block=512)
+        compiler = AStitchCompiler()
+        full = service.compile(graph, compiler, V100)
+        narrow = service.compile(graph, compiler, variant)
+        assert service.cache.stats.misses == 2
+        assert service.stats.compiled == 2
+        assert narrow is not full
+        verify_module(narrow, variant)
+        assert max(k.mapping.block_size for k in narrow.kernels()) <= 512
 
     def test_failures_are_not_cached(self):
         service = _service()
@@ -176,10 +201,10 @@ class TestWarmup:
         seen = []
 
         class Recording(CountingCompiler):
-            def compile(self, graph, spec=V100):
+            def compile(self, graph, spec=V100, *, optimize=False):
                 """Record the compiling thread, then compile."""
                 seen.append(threading.current_thread())
-                return super().compile(graph, spec)
+                return super().compile(graph, spec, optimize=optimize)
 
         threads_before = threading.active_count()
         report = default_service().warmup(
@@ -243,6 +268,27 @@ class TestFrontEnds:
         m2 = cache.get(build2, {"rows": 8, "cols": 8})
         assert m1 is not m2
         assert cache.stats.misses == 2
+
+    def test_jit_cache_sibling_closures_do_not_alias(self):
+        # Two closures of one enclosing function share their module and
+        # qualified name but build different graphs.
+        def factory_for(build):
+            def factory(rows=8, cols=8):
+                return build(rows, cols)
+            return factory
+
+        softmax = factory_for(micro.softmax_graph)
+        row_reduce = factory_for(micro.row_reduce)
+        assert softmax.__qualname__ == row_reduce.__qualname__
+        cache = JitCache(AStitchCompiler(), policy="exact",
+                         service=_service())
+        dims = {"rows": 8, "cols": 8}
+        m1 = cache.get(softmax, dims)
+        m2 = cache.get(row_reduce, dims)
+        assert m1 is not m2
+        assert m2.graph.name == micro.row_reduce(8, 8).name
+        assert cache.stats.misses == 2
+        assert cache.get(row_reduce, dims) is m2
 
     def test_jit_caches_share_service_compilations(self):
         service = _service()

@@ -225,15 +225,16 @@ class TestCompilerIntegration:
         assert run.module is not None
 
     def test_compiler_without_pipeline(self):
+        # A compiler is its pipeline: one that declares none cannot be
+        # instantiated, whatever else it overrides.
         class Legacy(Compiler):
             name = "Legacy"
 
-            def compile(self, graph, spec=V100):
+            def compile(self, graph, spec=V100, *, optimize=False):
                 raise AssertionError("unused")
 
-        assert Legacy().pipeline_fingerprint() == ""
-        with pytest.raises(NotImplementedError):
-            Legacy().run_pipeline(micro.softmax_graph(16, 16), V100)
+        with pytest.raises(TypeError, match="build_pipeline"):
+            Legacy()
 
     def test_session_surfaces_pass_timing(self):
         from repro.runtime.compile_cache import CompileCache

@@ -25,6 +25,7 @@ from repro.runtime.plan import (
     plan_key,
     set_default_plan_cache,
 )
+from repro.store import key_digest
 from repro.workloads import layers, micro
 
 
@@ -174,10 +175,10 @@ class TestPlanKeyInvalidation:
     def test_key_digest_stable_and_distinct(self):
         module = _module()
         key = plan_key(module, V100, EngineConfig.current())
-        assert key.digest() == plan_key(
-            module, V100, EngineConfig.current()).digest()
+        assert key_digest(key) == key_digest(plan_key(
+            module, V100, EngineConfig.current()))
         other = plan_key(module, T4, EngineConfig.current())
-        assert key.digest() != other.digest()
+        assert key_digest(key) != key_digest(other)
 
 
 class TestPlanCache:
@@ -217,7 +218,7 @@ class TestPlanCache:
         store = PlanCache(cache_dir=tmp_path)
         plan = Engine(plan_cache=store).plan(module)
         key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key.digest()}.pkl"
+        path = tmp_path / f"plan_{key_digest(key)}.pkl"
         payload = pickle.loads(path.read_bytes())
         assert payload["version"] == PLAN_FORMAT_VERSION
         payload["version"] = PLAN_FORMAT_VERSION + 1
@@ -231,7 +232,7 @@ class TestPlanCache:
         store = PlanCache(cache_dir=tmp_path)
         Engine(plan_cache=store).plan(module)
         key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key.digest()}.pkl"
+        path = tmp_path / f"plan_{key_digest(key)}.pkl"
         path.write_bytes(b"not a pickle")
         load = PlanCache(cache_dir=tmp_path)
         assert load.get(key) is None

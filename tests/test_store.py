@@ -34,8 +34,7 @@ def _module(i):
 CASES = {
     "compile": (
         CompileCache,
-        lambda i: CacheKey(compiler="xla", graph=f"g{i}", spec="V100",
-                           optimize=False),
+        lambda i: CacheKey(pipeline="xla", graph=f"g{i}", spec=V100),
         _module,
         (default_cache, set_default_cache),
     ),
@@ -105,7 +104,7 @@ class TestMemoryTier:
         def forbidden(*_args):
             raise AssertionError("disk work on the memory path")
 
-        monkeypatch.setattr(type(key(0)), "digest", forbidden)
+        monkeypatch.setattr(store, "key_digest", forbidden)
         monkeypatch.setattr(store, "source_digest", forbidden)
         assert tiered.get(key(0)) is not None
         memory_only.put(key(1), value(1))
@@ -140,7 +139,7 @@ class TestPersistentTier:
         first.put(key(0), value(0))
         assert first.stats.disk_stores == 1
         assert [p.name for p in tmp_path.iterdir()] \
-            == [f"{cls.prefix}{key(0).digest()}.pkl"]
+            == [f"{cls.prefix}{store.key_digest(key(0))}.pkl"]
         # A fresh store over the same directory models a new process.
         second = cls(cache_dir=tmp_path)
         served = second.get(key(0))

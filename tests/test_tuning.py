@@ -27,6 +27,7 @@ from repro.gpu.costmodel import cost_model_for
 from repro.gpu.spec import A100, T4, V100
 from repro.runtime.engine import Engine
 from repro.runtime.plan import module_pricing_signature
+from repro.store import key_digest
 from repro.tuning import (
     GroupSignature,
     GroupTuner,
@@ -167,7 +168,7 @@ class TestDeterminism:
 
     def test_signature_digest_stable(self):
         def digest(sig):
-            return TuningKey(group=sig, spec=V100).digest()
+            return key_digest(TuningKey(group=sig, spec=V100))
 
         assert digest(row_reduce_sig()) == digest(row_reduce_sig())
         assert digest(row_reduce_sig()) != digest(elementwise_sig())
@@ -186,6 +187,32 @@ class TestDeterminism:
         assert sum(d.num_candidates for d in decisions) > len(sigs)
         assert (len(model._memo), model.memo_hits,
                 model.memo_misses) == before
+
+    @pytest.mark.parametrize("name", ["CRNN", "DIEN"])
+    def test_sweep_atomic_column_is_accumulates(self, name):
+        # The sweep prices every candidate with the array form of
+        # ThreadMapping.accumulates; the two must agree row for row.
+        graph = build(name)
+        sigs = {}
+        for scope in identify_stitch_scopes(graph):
+            analysis = analyze_scope(graph, scope.nodes)
+            for group in analysis.groups:
+                sigs[signature_for_group(group, analysis.stages > 1)] = None
+        seen = []
+
+        class _Recording:
+            def launch_durations(self, grid, block, read, written, fp,
+                                 atomic_rounds, **knobs):
+                seen.append(atomic_rounds)
+                return np.zeros(len(grid))
+
+        GroupTuner(V100, cache=TuningCache(),
+                   cost_model=_Recording()).tune_signatures(list(sigs))
+        expected = [int(mapping.accumulates) for sig in sigs
+                    for mapping in candidates_for(sig, V100)]
+        assert len(seen) == 1
+        assert seen[0].tolist() == expected
+        assert any(expected) and not all(expected)
 
     def test_batch_matches_one_by_one(self):
         sigs = [row_reduce_sig(), elementwise_sig(),
@@ -267,9 +294,10 @@ class TestTuningCache:
 
     def test_key_digest_depends_on_all_parts(self):
         base = self._key()
-        assert base.digest() == self._key().digest()
-        assert base.digest() != self._key(spec=T4).digest()
-        assert base.digest() != self._key(sig=elementwise_sig()).digest()
+        assert key_digest(base) == key_digest(self._key())
+        assert key_digest(base) != key_digest(self._key(spec=T4))
+        assert key_digest(base) != key_digest(
+            self._key(sig=elementwise_sig()))
 
 
 class TestCompilerIntegration:
