@@ -85,10 +85,6 @@ class Kernel:
     def redundancy_of(self, node: Node) -> float:
         return self.redundancy.get(node, 1.0)
 
-    def is_memory_intensive(self) -> bool:
-        """Kernels in this repo always hold memory-intensive nodes."""
-        return True
-
     def __repr__(self) -> str:
         return (f"Kernel({self.name!r}, nodes={len(self.nodes)}, "
                 f"{self.mapping.describe()})")

@@ -56,10 +56,6 @@ class ThreadMapping:
             raise ValueError("cannot both pack and split rows")
 
     @property
-    def total_threads(self) -> int:
-        return self.grid_size * self.block_size
-
-    @property
     def threads_per_row(self) -> int:
         """Threads cooperating on one reduction row."""
         if self.kind is MappingKind.ELEMENTWISE:

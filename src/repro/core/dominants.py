@@ -49,10 +49,6 @@ class GroupInfo:
     sub_dominants: tuple[Node, ...]
     nodes: list[Node]
 
-    @property
-    def node_set(self) -> set[Node]:
-        return set(self.nodes)
-
     def __repr__(self) -> str:
         return (f"Group({self.group_id}, dominant={self.dominant.name}, "
                 f"nodes={len(self.nodes)})")

@@ -58,6 +58,16 @@ class GPUSpec:
     atomic_latency: float = 1.2e-6
     dram_transaction_bytes: int = 32
 
+    def __hash__(self) -> int:
+        # Once per object: serving looks a device up by value on every
+        # batch.  Never pickled: str hashes differ between processes.
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(dataclasses.astuple(self)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def max_resident_blocks(self) -> int:
         """Upper bound on blocks resident on the whole device."""

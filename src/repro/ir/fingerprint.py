@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.ir.dtypes import DType
 from repro.ir.graph import Graph
-from repro.ir.ops import OpKind
+from repro.ir.ops import KIND_NAMES, OpKind
 from repro.ir.shape import Shape
 from repro.store import register
 
@@ -63,6 +63,12 @@ def canonical_attr(value: Any) -> str:
     to ``repr`` — deterministic for any sanely-implemented value type,
     and wrong only in ways that make the cache *miss*, never alias.
     """
+    # Exact types first: int tuples (axes, dims, permutations) are most
+    # of the attrs a walk renders.
+    if type(value) is tuple:
+        return "[" + ",".join(map(canonical_attr, value)) + "]"
+    if type(value) is int:
+        return "i:" + str(value)
     if isinstance(value, bool):
         return f"b:{value}"
     if isinstance(value, (int, np.integer)):
@@ -94,9 +100,8 @@ def canonical_attr(value: Any) -> str:
     return f"r:{type(value).__name__}:{value!r}"
 
 
-# Kind names by kind: ``OpKind.value`` is an enum descriptor lookup,
-# measurably slower than a dict hit on the per-node path.
-_KIND_NAMES = {kind: kind.value for kind in OpKind}
+_PARAMETER, _BROADCAST, _CONSTANT = \
+    OpKind.PARAMETER, OpKind.BROADCAST, OpKind.CONSTANT
 
 
 # Nodes per chunk of text the digests consume: the walk never holds a
@@ -117,28 +122,35 @@ def _canonical_chunks(graph: Graph) -> Iterator[tuple[str, str]]:
     """
     nodes = graph.topological_order()
     index_of = {node: str(i) for i, node in enumerate(nodes)}
+    # Dims -> (full, topology) shape text, rendered once per walk.
+    dims_text: dict[tuple[int, ...], tuple[str, str]] = {}
     full = [f"repro-graph-fingerprint-v{FINGERPRINT_VERSION}"]
     topology = [f"repro-topology-fingerprint-v{FINGERPRINT_VERSION}"]
     for node in nodes:
         kind = node.kind
         shape = node.shape
         dims = shape.dims
+        text = dims_text.get(dims)
+        if text is None:
+            text = dims_text[dims] = (
+                "<" + ",".join(map(str, dims)) + ">", "<r" + str(len(dims)))
+        head = KIND_NAMES[kind] + (
+            "|" + node.name + "|" if kind is _PARAMETER else "||")
+        tail = ("|" + node.dtype.name + "|("
+                + ",".join(map(index_of.__getitem__, node.operands)) + ")|")
         attrs = node.attrs
-        head = (f"{_KIND_NAMES[kind]}|"
-                f"{node.name if kind is OpKind.PARAMETER else ''}|")
-        tail = (f"|{node.dtype.name}"
-                f"|({','.join([index_of[op] for op in node.operands])})|"
-                + (";".join([f"{key}={canonical_attr(attrs[key])}"
-                             for key in sorted(attrs)]) if attrs else ""))
-        full.append(f"{head}<{','.join(map(str, dims))}>{tail}")
-        if kind is OpKind.BROADCAST and shape.num_elements \
+        if attrs:
+            tail += ";".join([key + "=" + canonical_attr(attrs[key])
+                              for key in sorted(attrs)])
+        if kind is _BROADCAST and shape.num_elements \
                 > node.operands[0].shape.num_elements:
-            predicate = "+"
-        elif kind is OpKind.CONSTANT and shape.num_elements == 1:
-            predicate = "s"
+            predicate = "+>"
+        elif kind is _CONSTANT and shape.num_elements == 1:
+            predicate = "s>"
         else:
-            predicate = ""
-        topology.append(f"{head}<r{len(dims)}{predicate}>{tail}")
+            predicate = ">"
+        full.append(head + text[0] + tail)
+        topology.append(head + text[1] + predicate + tail)
         if len(full) == _CHUNK:
             yield "\n".join(full) + "\n", "\n".join(topology) + "\n"
             full.clear()

@@ -9,14 +9,16 @@ topological order every pass in this repository iterates in.
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Iterable, Iterator
+import types
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.ir.dtypes import DType, F32
 from repro.ir.ops import (
+    KIND_NAMES,
+    OPERATORS,
     OpKind,
     ReduceKind,
     is_compute_intensive,
@@ -25,22 +27,36 @@ from repro.ir.ops import (
 )
 from repro.ir.shape import Shape
 
+# The attrs of every node built without any: nothing mutates a node's
+# attrs after construction, so one read-only empty mapping serves all.
+NO_ATTRS: Mapping[str, Any] = types.MappingProxyType({})
 
-@dataclasses.dataclass(eq=False)
+
 class Node:
     """A single operator instance inside a :class:`Graph`.
 
     Nodes compare by identity; ``node_id`` is unique within the owning graph
-    and stable under graph mutation.
+    and stable under graph mutation.  A node is slotted (no ``__dict__``),
+    and empty ``attrs`` are the shared :data:`NO_ATTRS`.
     """
 
-    node_id: int
-    name: str
-    kind: OpKind
-    operands: list["Node"]
-    shape: Shape
-    dtype: DType = F32
-    attrs: dict[str, Any] = dataclasses.field(default_factory=dict)
+    __slots__ = ("node_id", "name", "kind", "operands", "shape", "dtype",
+                 "attrs")
+
+    def __init__(self, node_id: int, name: str, kind: OpKind,
+                 operands: list["Node"], shape: Shape, dtype: DType = F32,
+                 attrs: Optional[Mapping[str, Any]] = None):
+        self.node_id = node_id
+        self.name = name
+        self.kind = kind
+        self.operands = operands
+        self.shape = shape
+        self.dtype = dtype
+        self.attrs = attrs or NO_ATTRS
+
+    def __reduce__(self):
+        return Node, (self.node_id, self.name, self.kind, self.operands,
+                      self.shape, self.dtype, self.attrs or None)
 
     @property
     def num_elements(self) -> int:
@@ -101,6 +117,15 @@ class Graph:
         self._outputs: list[Node] = []
         self._next_id = 0
         self._name_counts: dict[str, int] = {}
+        # Views of ``_nodes``, built on first use and rebuilt when its
+        # length changes: graphs are append-only.
+        self._order: tuple[Node, ...] = ()
+        self._memory: Optional[tuple[Node, ...]] = None
+        self._compute: Optional[tuple[Node, ...]] = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {**self.__dict__, "_order": (), "_memory": None,
+                "_compute": None}
 
     # -- construction ----------------------------------------------------------
 
@@ -134,28 +159,21 @@ class Graph:
                 raise ValueError(
                     f"operand {op_node.name} does not belong to graph "
                     f"{self.name}")
-        expected_arity = operator(kind).arity
+        expected_arity = OPERATORS[kind].arity
         if expected_arity >= 0 and len(operands) != expected_arity:
             raise ValueError(
                 f"{kind.value} expects {expected_arity} operands, got "
                 f"{len(operands)}")
         return self._append(kind, operands, Shape.of(shape), dtype,
-                            name or kind.value, attrs)
+                            name or KIND_NAMES[kind], attrs)
 
     def _append(self, kind: OpKind, operands: list[Node], shape: Shape,
-                dtype: DType, name: str, attrs: dict[str, Any]) -> Node:
+                dtype: DType, name: str, attrs: Mapping[str, Any]) -> Node:
         """``add`` without its checks, for operands, arity and shape
         already known good (a rebuild copying a valid graph); the node
         takes ownership of ``operands`` and ``attrs``."""
-        node = Node(
-            node_id=self._next_id,
-            name=self._unique_name(name),
-            kind=kind,
-            operands=operands,
-            shape=shape,
-            dtype=dtype,
-            attrs=attrs,
-        )
+        node = Node(self._next_id, self._unique_name(name), kind, operands,
+                    shape, dtype, attrs)
         self._next_id += 1
         self._nodes.append(node)
         self._users[node] = []
@@ -179,8 +197,12 @@ class Graph:
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        """All nodes, in (valid topological) insertion order."""
-        return tuple(self._nodes)
+        """All nodes, in (valid topological) insertion order (one tuple
+        per graph size, not a copy per call)."""
+        if len(self._order) != len(self._nodes):
+            self._order = tuple(self._nodes)
+            self._memory = self._compute = None
+        return self._order
 
     @property
     def outputs(self) -> tuple[Node, ...]:
@@ -213,10 +235,20 @@ class Graph:
         return self.nodes
 
     def memory_intensive_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self._nodes if n.is_memory_intensive())
+        """The memory-intensive nodes, scanned once per graph size."""
+        nodes = self.nodes
+        if self._memory is None:
+            self._memory = tuple(n for n in nodes
+                                 if is_memory_intensive(n.kind))
+        return self._memory
 
     def compute_intensive_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self._nodes if n.is_compute_intensive())
+        """The compute-intensive nodes, scanned once per graph size."""
+        nodes = self.nodes
+        if self._compute is None:
+            self._compute = tuple(n for n in nodes
+                                  if is_compute_intensive(n.kind))
+        return self._compute
 
     def reachable_from(self, roots: Iterable[Node]) -> set[Node]:
         """Transitive operand closure of ``roots`` (roots included)."""

@@ -23,6 +23,10 @@ import enum
 class OpKind(enum.Enum):
     """Every operator the IR supports."""
 
+    # Members are singletons: hash by identity, in C, not through the
+    # Python-level ``Enum.__hash__`` on every kind-keyed lookup.
+    __hash__ = object.__hash__
+
     # Graph sources.
     PARAMETER = "parameter"
     CONSTANT = "constant"
@@ -161,6 +165,11 @@ MEMORY_INTENSIVE = ELEMENTWISE | DATA_MOVEMENT | frozenset({OpKind.REDUCE})
 ELEMENTWISE_COSTS: dict[OpKind, float] = {
     kind: OPERATORS[kind].fp_cost for kind in ELEMENTWISE
 }
+
+
+# Kind names by kind: ``OpKind.value`` is an enum descriptor lookup,
+# measurably slower than a dict hit on the per-node paths.
+KIND_NAMES: dict[OpKind, str] = {kind: kind.value for kind in OpKind}
 
 
 def operator(kind: OpKind) -> Operator:

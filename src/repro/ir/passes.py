@@ -253,7 +253,7 @@ class _Sweep:
             clones[node] = target._append(
                 node.kind, [clones[op] for op in node.operands],
                 node.shape, node.dtype, node.name.split(".")[0],
-                dict(node.attrs))
+                node.attrs)
         interface = (*graph.parameters, *graph.outputs)
         _restore_interface_names(
             target, {n: clones[self.mapping[n]] for n in interface})

@@ -75,9 +75,7 @@ def memory_intensive_components(graph: Graph) -> list[list[Node]]:
     memory-intensive subgraph in the paper's sense (Sec 2.1), in topological
     order.
     """
-    mem_nodes = [n for n in graph.topological_order()
-                 if n.is_memory_intensive()]
-    mem_set = set(mem_nodes)
+    mem_nodes = graph.memory_intensive_nodes()
     parent: dict[Node, Node] = {n: n for n in mem_nodes}
 
     def find(x: Node) -> Node:
@@ -93,7 +91,7 @@ def memory_intensive_components(graph: Graph) -> list[list[Node]]:
 
     for node in mem_nodes:
         for operand in node.operands:
-            if operand in mem_set:
+            if operand in parent:
                 union(node, operand)
 
     groups: dict[Node, list[Node]] = {}

@@ -9,7 +9,9 @@ The AStitch paper cares about two layout-sensitive facts:
   consumer.
 
 ``Shape`` is therefore a thin immutable wrapper over a dims tuple with the
-index arithmetic both of those need.
+index arithmetic both of those need.  Shapes are interned: constructing
+one returns the process's single ``Shape`` for its dims, so the nodes of
+every graph share a handful of shape objects.
 """
 
 from __future__ import annotations
@@ -18,19 +20,34 @@ import math
 from collections.abc import Iterable, Iterator
 from typing import Union
 
+from repro.store import register
+
 ShapeLike = Union["Shape", Iterable[int]]
+
+# Dims tuple -> its one ``Shape``; ``repro.reset_caches`` clears it.
+_INTERNED: dict[tuple[int, ...], "Shape"] = register("shapes", {})
 
 
 class Shape:
-    """An immutable, row-major tensor shape."""
+    """An immutable, row-major tensor shape, one object per dims tuple."""
 
     __slots__ = ("_dims", "_num_elements")
 
-    def __init__(self, dims: Iterable[int]):
-        dims = tuple(int(d) for d in dims)
-        if any(d < 0 for d in dims):
-            raise ValueError(f"negative dimension in shape {dims}")
-        self._dims = dims
+    def __new__(cls, dims: Iterable[int]) -> "Shape":
+        shape = _INTERNED.get(dims) if type(dims) is tuple else None
+        if shape is None:
+            dims = tuple(int(d) for d in dims)
+            if any(d < 0 for d in dims):
+                raise ValueError(f"negative dimension in shape {dims}")
+            shape = super().__new__(cls)
+            shape._dims = dims
+            shape._num_elements = math.prod(dims)
+            # ``setdefault``: the first object made for these dims wins.
+            shape = _INTERNED.setdefault(dims, shape)
+        return shape
+
+    def __reduce__(self):
+        return Shape, (self._dims,)
 
     @staticmethod
     def of(value: ShapeLike) -> "Shape":
@@ -49,14 +66,7 @@ class Shape:
 
     @property
     def num_elements(self) -> int:
-        # Lazily cached: shapes are immutable and this is on the hot
-        # path of signature/cost derivation.  The try/except keeps
-        # instances unpickled from before the slot existed working.
-        try:
-            return self._num_elements
-        except AttributeError:
-            self._num_elements = math.prod(self._dims) if self._dims else 1
-            return self._num_elements
+        return self._num_elements
 
     def is_scalar(self) -> bool:
         return self.rank == 0
@@ -75,7 +85,8 @@ class Shape:
     def drop_axes(self, axes: Iterable[int]) -> "Shape":
         """Shape with the given axes removed (what a reduce produces)."""
         drop = {a % self.rank for a in axes}
-        return Shape(d for i, d in enumerate(self._dims) if i not in drop)
+        return Shape(tuple([d for i, d in enumerate(self._dims)
+                            if i not in drop]))
 
     def normalize_axes(self, axes: Iterable[int]) -> tuple[int, ...]:
         """Sort and wrap negative axes; validate they are in range."""

@@ -28,7 +28,7 @@ def convert_to_amp(graph: Graph) -> Graph:
         dtype = F16 if node.dtype in _FLOAT_TYPES else node.dtype
         operands = [mapping[op] for op in node.operands]
         new = clone.add(node.kind, operands, node.shape, dtype,
-                        name=node.name.split(".")[0], **dict(node.attrs))
+                        name=node.name.split(".")[0], **node.attrs)
         mapping[node] = new
     for out in graph.outputs:
         clone.mark_output(mapping[out])

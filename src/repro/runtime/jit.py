@@ -68,10 +68,6 @@ class JitStats:
     misses: int = 0
     compile_seconds: float = 0.0
 
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
 
 class JitCache:
     """Compile-once-per-shape-bucket execution cache."""

@@ -55,20 +55,20 @@ class ServiceTimeOracle:
             from repro.runtime.plan import default_plan_cache
             plan_cache = default_plan_cache()
         self.plan_cache = plan_cache
-        self._times: dict[tuple[str, int, str], float] = {}
-        self._engines: dict[str, Engine] = {}
+        self._times: dict[tuple[str, int, GPUSpec], float] = {}
+        self._engines: dict[GPUSpec, Engine] = {}
 
     def _engine(self, spec: GPUSpec) -> Engine:
-        engine = self._engines.get(spec.name)
+        engine = self._engines.get(spec)
         if engine is None:
             engine = Engine(spec, plan_cache=self.plan_cache)
-            self._engines[spec.name] = engine
+            self._engines[spec] = engine
         return engine
 
     def service_time(self, workload: str, bucket: int,
                      spec: GPUSpec) -> float:
         """Priced seconds to execute one ``bucket``-sized batch."""
-        key = (workload, bucket, spec.name)
+        key = (workload, bucket, spec)
         cached = self._times.get(key)
         if cached is None:
             from repro.workloads import build_cached

@@ -18,6 +18,33 @@ from repro.workloads import WORKLOADS, build, micro
 GOLDEN = "421ad9324b9c5b789ea37c60ac7ac615d6141a1179aadca537996a86203f69e8"
 
 
+# (workload, batch) -> (graph fingerprint, topology fingerprint) of the
+# real graphs, recorded like GOLDEN; batch None is the Table 2 build.
+REAL_GRAPHS = {
+    ("CRNN", None): (
+        "b2be437dcde609d4121da8f5bcb4bf905c0e3ce969aedc154c66981c0f1491b9",
+        "95a655bd55ac6dff4dab02784825d70abb7c5f2bf0a0cfb82b4e7cc9cf8da945"),
+    ("ASR", None): (
+        "30ca3a43da4ced231b5dc436fd731127fdc567f174fe45b47fdbf3380d2a1703",
+        "eb0d7dea6ab21295b89f1de366efe64932386fda43e3542e114cef6bdb9fd862"),
+    ("BERT", None): (
+        "f2d4bebcfe667a9228b8ceab1e04e5acd3b997732abb7194a634f13491b5d77b",
+        "14206485f2fb20f814836f74bd88b2511f11edd2cd0fd9e699511e1914adc7ce"),
+    ("Transformer", None): (
+        "e6351edab609093e76d0cdd430722259f9471e8869b6d1aba5440dc3ea03fb4a",
+        "01eec468f32de5e88c9b7a1a917ae8486bab2ff406327215eac2f9325c91db97"),
+    ("DIEN", None): (
+        "ae93cc6440eee105bc1b06c0c7beaedc081560311649578f1c34d1d2c0571b1d",
+        "8873c96cd39ef1b8198234a5cd0b01371af17759fcd746d08bc8228bb9edb552"),
+    ("CRNN", 7): (
+        "24dd3219d8b3cba9fb277e32f30b606dc26e069633e7002a4cf97e9238291729",
+        "dbe628b48cabec6a284041ae8ae1e274ec50047068306b6a48de555fbf684a7a"),
+    ("BERT", 7): (
+        "81f3775f8c0724b52b888659acec68f0059605f57017d11840fb4889c310805b",
+        "14206485f2fb20f814836f74bd88b2511f11edd2cd0fd9e699511e1914adc7ce"),
+}
+
+
 def _golden_graph():
     b = GraphBuilder("golden")
     x = b.parameter("x", (4, 8))
@@ -42,6 +69,13 @@ class TestStability:
 
     def test_golden_value_stable_across_runs(self):
         assert graph_fingerprint(_golden_graph()) == GOLDEN
+
+    @pytest.mark.parametrize("workload, batch", sorted(
+        REAL_GRAPHS, key=lambda key: (key[0], key[1] or 0)))
+    def test_real_graph_digests_stable(self, workload, batch):
+        graph = build(workload, batch=batch)
+        assert (graph_fingerprint(graph), topology_fingerprint(graph)) \
+            == REAL_GRAPHS[workload, batch]
 
     def test_graph_display_name_is_excluded(self):
         left, right = _golden_graph(), _golden_graph()

@@ -1,13 +1,22 @@
 """Unit tests for graph construction, validation and analyses."""
 
+import pickle
+
 import pytest
 
+from repro.cli import COMPILERS
+from repro.gpu.spec import V100
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import F16
-from repro.ir.graph import Graph, constant_value
+from repro.ir.fingerprint import graph_fingerprint
+from repro.ir.graph import NO_ATTRS, Graph, constant_value
 from repro.ir.ops import OpKind, ReduceKind
 from repro.ir import patterns
 from repro.ir.patterns import EdgeDependency
+from repro.runtime.compile_cache import CompileCache
+from repro.runtime.compile_service import CompileService
+from repro.runtime.plan import module_pricing_signature
+from repro.workloads import registry
 
 
 def simple_graph():
@@ -247,3 +256,93 @@ class TestPatterns:
         b.log(t)
         g = b.build()
         assert patterns.operator_fan_out(g, t) == 2
+
+
+class TestNodeLayout:
+    """The lean per-node representation: slots, one shared empty attrs
+    mapping, and a pickle round trip that keeps both."""
+
+    def test_nodes_have_no_dict(self):
+        graph = registry.build("CRNN", batch=3)
+        assert not any(hasattr(node, "__dict__") for node in graph)
+
+    def test_attrless_nodes_share_one_empty_mapping(self):
+        graph = registry.build("CRNN", batch=3)
+        bare = [node for node in graph if not node.attrs]
+        assert bare and all(node.attrs is NO_ATTRS for node in bare)
+        with pytest.raises(TypeError):
+            bare[0].attrs["axes"] = (0,)
+        service = CompileService()
+        for compiler in COMPILERS.values():
+            service.compile(registry.build("CRNN"), compiler(), V100,
+                            optimize=True)
+        assert len(NO_ATTRS) == 0
+
+    def test_graph_and_module_pickle_round_trip(self, tmp_path):
+        """The compile cache's disk tier pickles whole modules; a loaded
+        one prices and fingerprints like the original (entries written
+        by other code are refused by their header, see
+        ``test_store.py::test_other_source_digest_degrades_to_miss``)."""
+        graph = registry.build("BERT", batch=3)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert graph_fingerprint(clone) == graph_fingerprint(graph)
+        assert [n.name for n in clone.nodes] == [n.name for n in graph.nodes]
+        assert all(node.attrs is NO_ATTRS for node in clone if not node.attrs)
+        assert clone.users(clone.nodes[0]) and clone.nodes is clone.nodes
+
+        module = COMPILERS["AStitch"]().compile(graph, V100)
+        writer = CompileCache(cache_dir=tmp_path)
+        writer.put("bert", module)
+        loaded = CompileCache(cache_dir=tmp_path).get("bert")
+        assert loaded is not module
+        assert graph_fingerprint(loaded.graph) == graph_fingerprint(graph)
+        assert module_pricing_signature(loaded) \
+            == module_pricing_signature(module)
+
+
+class TestGraphViews:
+    """``nodes`` and the intensity partitions are built once per graph
+    size, not per call."""
+
+    def test_nodes_is_one_tuple_per_size(self):
+        graph, (x, *_) = simple_graph()
+        assert graph.nodes is graph.nodes
+        assert graph.topological_order() is graph.nodes
+        before = graph.nodes
+        grown = graph.add(OpKind.EXP, (x,), x.shape)
+        assert graph.nodes is not before
+        assert graph.nodes == (*before, grown)
+
+    def test_library_dispatch_scans_once_per_graph(self, monkeypatch):
+        """Each compile's library-dispatch pass asks for the graph's
+        compute-intensive nodes; a scan would build a new tuple."""
+        answers = []
+        scan = Graph.compute_intensive_nodes
+
+        def recording(graph):
+            answers.append(scan(graph))
+            return answers[-1]
+
+        monkeypatch.setattr(Graph, "compute_intensive_nodes", recording)
+        graph = registry.build("BERT", batch=3)
+        for compiler in ("XLA", "TVM", "AStitch"):
+            COMPILERS[compiler]().compile(graph, V100)
+        assert len(answers) >= 3
+        assert len({id(answer) for answer in answers}) == 1
+        assert len(answers[0]) == sum(
+            node.is_compute_intensive() for node in graph)
+
+    def test_views_follow_an_appended_node(self):
+        b = GraphBuilder("grow")
+        x = b.parameter("x", (4, 8))
+        w = b.parameter("w", (8, 8))
+        t = b.tanh(x)
+        graph = b.graph
+        assert graph.compute_intensive_nodes() == ()
+        assert graph.memory_intensive_nodes() == (t,)
+        d = b.dot(t, w)
+        assert graph.compute_intensive_nodes() == (d,)
+        assert graph.memory_intensive_nodes() == (t,)
+        e = b.exp(d)
+        assert graph.memory_intensive_nodes() == (t, e)
+        assert graph.compute_intensive_nodes() == (d,)

@@ -1,7 +1,10 @@
 """Unit tests for shapes and layout arithmetic."""
 
+import pickle
+
 import pytest
 
+from repro import reset_caches, store
 from repro.ir.shape import Shape, broadcast_result_shape
 
 
@@ -87,3 +90,28 @@ class TestBroadcastValidation:
     def test_out_of_range_target(self):
         with pytest.raises(ValueError):
             broadcast_result_shape(Shape((2,)), Shape((2, 128)), (5,))
+
+
+class TestInterning:
+    def test_equal_dims_give_one_object(self):
+        shape = Shape.of((2, 3, 4))
+        assert Shape.of([2, 3, 4]) is shape
+        assert Shape((2, 3, 4)) is shape
+        assert Shape.of(shape) is shape
+        assert Shape(iter((2, 3, 4))) is shape
+
+    def test_drop_axes_is_interned(self):
+        assert Shape.of((2, 3, 4)).drop_axes((1,)) is Shape.of((2, 4))
+        assert Shape.of((5, 6)).drop_axes((0, 1)) is Shape.of(())
+
+    def test_pickle_round_trip_is_interned(self):
+        shape = Shape.of((7, 9))
+        assert pickle.loads(pickle.dumps(shape)) is shape
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_intern_table_is_registered(self):
+        Shape.of((11, 13))
+        assert len(store.registered()["shapes"])
+        reset_caches()
+        assert len(store.registered()["shapes"]) == 0
+        assert Shape.of((11, 13)) == (11, 13)

@@ -6,6 +6,9 @@ between a run priced from scratch (cleared cost-model memos, a fresh
 plan cache) and a warm replay of the same run.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import AStitchCompiler
@@ -85,6 +88,28 @@ class TestOracleSharing:
         # One plan built for the (workload, bucket, spec) triple; the
         # repeat lookup is served by the oracle's own memo or the cache.
         assert cache.stats.misses <= 1
+
+    def test_oracle_keys_the_device_by_value(self):
+        """A same-named device variant gets its own price, not the
+        stock device's."""
+        slow = dataclasses.replace(V100,
+                                   dram_bandwidth=V100.dram_bandwidth / 4)
+        oracle = ServiceTimeOracle(AStitchCompiler())
+        stock = oracle.service_time("CRNN", 4, V100)
+        priced = oracle.service_time("CRNN", 4, slow)
+        fresh = ServiceTimeOracle(AStitchCompiler()).service_time(
+            "CRNN", 4, slow)
+        assert priced == fresh
+        assert priced == pytest.approx(13.58e-3, rel=1e-3)
+        assert stock == pytest.approx(5.30e-3, rel=1e-3)
+
+    def test_spec_hash_is_cached_and_never_pickled(self):
+        spec = dataclasses.replace(V100, name="V100-hash")
+        hash(spec)
+        assert "_hash" in spec.__dict__
+        copy = pickle.loads(pickle.dumps(spec))
+        assert "_hash" not in copy.__dict__
+        assert copy == spec and hash(copy) == hash(spec)
 
     def test_cluster_exposes_oracle_plan_cache(self):
         cache = PlanCache()
