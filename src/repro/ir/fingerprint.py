@@ -63,12 +63,10 @@ def canonical_attr(value: Any) -> str:
     to ``repr`` — deterministic for any sanely-implemented value type,
     and wrong only in ways that make the cache *miss*, never alias.
     """
-    # Exact types first: int tuples (axes, dims, permutations) are most
-    # of the attrs a walk renders.
-    if type(value) is tuple:
+    # Tuples first: int tuples (axes, dims, permutations) are most of
+    # the attrs a walk renders, and no other attr type is a tuple.
+    if isinstance(value, (tuple, list)):
         return "[" + ",".join(map(canonical_attr, value)) + "]"
-    if type(value) is int:
-        return "i:" + str(value)
     if isinstance(value, bool):
         return f"b:{value}"
     if isinstance(value, (int, np.integer)):
@@ -89,8 +87,6 @@ def canonical_attr(value: Any) -> str:
         payload = hashlib.sha256(
             np.ascontiguousarray(value).tobytes()).hexdigest()
         return f"nd:{value.dtype}:{value.shape}:{payload}"
-    if isinstance(value, (tuple, list)):
-        return "[" + ",".join(map(canonical_attr, value)) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(canonical_attr(v) for v in value)) + "}"
     if isinstance(value, dict):

@@ -123,10 +123,6 @@ class Graph:
         self._memory: Optional[tuple[Node, ...]] = None
         self._compute: Optional[tuple[Node, ...]] = None
 
-    def __getstate__(self) -> dict[str, Any]:
-        return {**self.__dict__, "_order": (), "_memory": None,
-                "_compute": None}
-
     # -- construction ----------------------------------------------------------
 
     def add(self,

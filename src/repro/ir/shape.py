@@ -17,6 +17,7 @@ every graph share a handful of shape objects.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Iterable, Iterator
 from typing import Union
 
@@ -24,14 +25,17 @@ from repro.store import register
 
 ShapeLike = Union["Shape", Iterable[int]]
 
-# Dims tuple -> its one ``Shape``; ``repro.reset_caches`` clears it.
-_INTERNED: dict[tuple[int, ...], "Shape"] = register("shapes", {})
+# Dims tuple -> its one live ``Shape``.  Held weakly, so the table is
+# only as large as the shapes some graph still uses;
+# ``repro.reset_caches`` clears it.
+_INTERNED: "weakref.WeakValueDictionary[tuple[int, ...], Shape]" = \
+    register("shapes", weakref.WeakValueDictionary())
 
 
 class Shape:
     """An immutable, row-major tensor shape, one object per dims tuple."""
 
-    __slots__ = ("_dims", "_num_elements")
+    __slots__ = ("_dims", "_num_elements", "__weakref__")
 
     def __new__(cls, dims: Iterable[int]) -> "Shape":
         shape = _INTERNED.get(dims) if type(dims) is tuple else None

@@ -226,8 +226,10 @@ class TieredStore(Generic[K, V]):
     def _load(self, key: K) -> Optional[V]:
         try:
             payload = pickle.loads(self._path(key).read_bytes())
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+        except Exception:
+            # Unreadable, corrupt, or pickled by other code whose classes
+            # no longer rebuild from it (a changed constructor raises
+            # TypeError, a removed class ImportError, ...): a miss.
             return None
         if (isinstance(payload, dict)
                 and payload.get("version") == self.version

@@ -1,5 +1,7 @@
 """Unit tests for graph construction, validation and analyses."""
 
+import copyreg
+import io
 import pickle
 
 import pytest
@@ -11,6 +13,7 @@ from repro.ir.dtypes import F16
 from repro.ir.fingerprint import graph_fingerprint
 from repro.ir.graph import NO_ATTRS, Graph, constant_value
 from repro.ir.ops import OpKind, ReduceKind
+from repro.ir.shape import Shape
 from repro.ir import patterns
 from repro.ir.patterns import EdgeDependency
 from repro.runtime.compile_cache import CompileCache
@@ -280,9 +283,7 @@ class TestNodeLayout:
 
     def test_graph_and_module_pickle_round_trip(self, tmp_path):
         """The compile cache's disk tier pickles whole modules; a loaded
-        one prices and fingerprints like the original (entries written
-        by other code are refused by their header, see
-        ``test_store.py::test_other_source_digest_degrades_to_miss``)."""
+        one prices and fingerprints like the original."""
         graph = registry.build("BERT", batch=3)
         clone = pickle.loads(pickle.dumps(graph))
         assert graph_fingerprint(clone) == graph_fingerprint(graph)
@@ -298,6 +299,44 @@ class TestNodeLayout:
         assert graph_fingerprint(loaded.graph) == graph_fingerprint(graph)
         assert module_pricing_signature(loaded) \
             == module_pricing_signature(module)
+
+
+    def test_entry_with_uninterned_shapes_is_a_miss(self, tmp_path):
+        """Entries written before shapes were interned pickled each
+        ``Shape`` with no constructor arguments, then its slots; they no
+        longer rebuild, and the disk tier must report a miss, not
+        raise."""
+        probe = io.BytesIO()
+        _UninternedShapes(probe, protocol=5).dump(Shape((2, 3)))
+        assert probe.getvalue() == UNINTERNED_SHAPE_PICKLE
+        module = COMPILERS["XLA"]().compile(registry.build("BERT", batch=3),
+                                            V100)
+        CompileCache(cache_dir=tmp_path).put("bert", module)
+        (path,) = tmp_path.glob("*.pkl")
+        payload = pickle.loads(path.read_bytes())
+        older = io.BytesIO()
+        _UninternedShapes(older, protocol=5).dump(payload)
+        path.write_bytes(older.getvalue())
+        cache = CompileCache(cache_dir=tmp_path)
+        assert cache.get("bert") is None
+        assert cache.stats.misses == 1
+
+
+# ``pickle.dumps(Shape((2, 3)), protocol=5)`` under the uninterned Shape.
+UNINTERNED_SHAPE_PICKLE = (
+    b"\x80\x05\x95G\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.ir.shape"
+    b"\x94\x8c\x05Shape\x94\x93\x94)\x81\x94N}\x94(\x8c\x05_dims\x94K"
+    b"\x02K\x03\x86\x94\x8c\r_num_elements\x94K\x06u\x86\x94b.")
+
+
+class _UninternedShapes(pickle.Pickler):
+    """Pickles every ``Shape`` the way the uninterned one did."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Shape:
+            return copyreg.__newobj__, (Shape,), (None, {
+                "_dims": obj.dims, "_num_elements": obj.num_elements})
+        return NotImplemented
 
 
 class TestGraphViews:

@@ -1,6 +1,7 @@
 """Unit tests for shapes and layout arithmetic."""
 
 import pickle
+import weakref
 
 import pytest
 
@@ -110,8 +111,18 @@ class TestInterning:
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_intern_table_is_registered(self):
-        Shape.of((11, 13))
+        kept = Shape.of((11, 13))
         assert len(store.registered()["shapes"])
         reset_caches()
         assert len(store.registered()["shapes"]) == 0
-        assert Shape.of((11, 13)) == (11, 13)
+        assert Shape.of((11, 13)) == kept
+
+    def test_unused_shape_leaves_the_table(self):
+        """The table holds shapes weakly: a shape no graph uses any more
+        does not stay alive for the rest of the process."""
+        shape = Shape.of((17, 1019))
+        gone = weakref.ref(shape)
+        assert (17, 1019) in store.registered()["shapes"]
+        del shape
+        assert gone() is None
+        assert (17, 1019) not in store.registered()["shapes"]
