@@ -36,7 +36,11 @@ def percentile(values: Sequence[float], p: float) -> float:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    ordered = sorted(values)
+    return _interpolate(sorted(values), p)
+
+
+def _interpolate(ordered: Sequence[float], p: float) -> float:
+    """:func:`percentile` of an already sorted, non-empty sample."""
     rank = p / 100.0 * (len(ordered) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
@@ -77,12 +81,13 @@ def summarize(values: Sequence[float]) -> Summary:
     """Summarize a sample; all-zero summary for an empty one."""
     if not values:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    ordered = sorted(values)
     return Summary(
         count=len(values),
         mean=mean(values),
-        p50=percentile(values, 50),
-        p95=percentile(values, 95),
-        p99=percentile(values, 99),
+        p50=_interpolate(ordered, 50),
+        p95=_interpolate(ordered, 95),
+        p99=_interpolate(ordered, 99),
         minimum=min(values),
         maximum=max(values),
     )

@@ -41,11 +41,11 @@ def bucket_sizes(max_batch: int) -> list[int]:
 
 
 def bucket_for(count: int, max_batch: int) -> int:
-    """Smallest bucket that holds ``count`` requests."""
-    for size in bucket_sizes(max_batch):
-        if count <= size:
-            return size
-    return max_batch
+    """Smallest bucket of :func:`bucket_sizes` that holds ``count``
+    requests (``max_batch`` for any larger count)."""
+    if max_batch < 1:
+        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    return min(max_batch, 1 << max(count - 1, 0).bit_length())
 
 
 @dataclasses.dataclass
@@ -104,14 +104,6 @@ class DynamicBatcher:
         self.max_wait = max_wait
         self.formed = 0
 
-    def release_time(self, queue: AdmissionQueue,
-                     workload: str) -> float | None:
-        """Virtual time the bucket's head must be released by."""
-        oldest = queue.oldest_arrival(workload)
-        if oldest is None:
-            return None
-        return oldest + self.max_wait
-
     def try_form(self, queue: AdmissionQueue, workload: str,
                  now: float) -> Batch | None:
         """Seal a batch if the bucket is full or its head has expired.
@@ -120,11 +112,9 @@ class DynamicBatcher:
         underfull one forms only when the oldest request has waited
         ``max_wait``.  Returns None when neither holds.
         """
-        depth = queue.depth(workload)
-        if depth == 0:
-            return None
-        release = self.release_time(queue, workload)
-        if depth < self.max_batch and (release is None or now < release):
+        bucket = queue.bucket(workload)
+        if not bucket or (len(bucket) < self.max_batch
+                          and now < bucket[0].arrival + self.max_wait):
             return None
         requests = queue.take(workload, self.max_batch)
         for request in requests:

@@ -12,9 +12,12 @@ event kinds drive the clock:
   start the next one.
 
 Events at equal timestamps resolve in a fixed order (completions, then
-arrivals, then timers, then by sequence number), so a load test is a
-pure function of its inputs — no wall-clock reads, no thread timing,
-identical output on every run.
+arrivals, then timers; within a kind, arrivals by ``(arrival, seq)`` and
+the rest in the order they were scheduled), so a load test is a pure
+function of its inputs — no wall-clock reads, no thread timing,
+identical output on every run.  Arrivals are known up front, so they
+stay in their sorted list; the heap holds only timers and completions,
+and each event costs O(1) apart from the heap operation itself.
 
 Scheduling policies (``policy=``):
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 from typing import Optional
 
 from repro.serving.batcher import Batch, DynamicBatcher
@@ -41,7 +45,15 @@ from repro.serving.worker import Execution, ServiceTimeOracle, Worker
 
 POLICIES = ("fifo", "edf", "least-loaded")
 
-_COMPLETE, _ARRIVAL, _TIMER = 0, 1, 2
+# Heap event kinds: at one timestamp a completion precedes the
+# arrivals there, and a timer follows them.
+_COMPLETE, _TIMER = 0, 2
+
+
+_ARRIVAL_ORDER = operator.attrgetter("arrival", "seq")
+_SEQ = operator.attrgetter("seq")
+_LEAST_LOADED = operator.attrgetter("busy_seconds", "uid")
+_LONGEST_FREE = operator.attrgetter("busy_until", "uid")
 
 
 @dataclasses.dataclass
@@ -126,13 +138,13 @@ class Cluster:
 
     def _pick_worker(self, now: float) -> Optional[Worker]:
         """The idle worker the policy assigns work to (None if busy)."""
-        idle = [w for w in self.workers if w.idle_at(now)]
+        idle = [w for w in self.workers if w.busy_until <= now]
         if not idle:
             return None
         if self.policy == "least-loaded":
-            return min(idle, key=lambda w: (w.busy_seconds, w.uid))
+            return min(idle, key=_LEAST_LOADED)
         # Longest-free first: smallest busy_until, then stable by id.
-        return min(idle, key=lambda w: (w.busy_until, w.uid))
+        return min(idle, key=_LONGEST_FREE)
 
     # -- simulation -------------------------------------------------------------
 
@@ -145,18 +157,14 @@ class Cluster:
             offered_duration: Nominal load duration for throughput math;
                 defaults to the last arrival time.
         """
-        heap: list[tuple[float, int, int, object]] = []
+        arrivals = sorted(requests, key=_ARRIVAL_ORDER)
+        queue, batcher = self.queue, self.batcher
+        admit, try_form, depth = queue.push, batcher.try_form, queue.depth
+        max_wait = batcher.max_wait
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # Timers and completions as (time, kind, ticket, workload).
+        heap: list[tuple[float, int, int, Optional[str]]] = []
         ticket = 0
-
-        def push(time: float, kind: int, payload) -> None:
-            nonlocal ticket
-            ticket += 1
-            heapq.heappush(heap, (time, kind, ticket, payload))
-
-        for request in sorted(requests,
-                              key=lambda r: (r.arrival, r.seq)):
-            push(request.arrival, _ARRIVAL, request)
-
         pending: list[Batch] = []
         executions: list[Execution] = []
         queue_samples: list[tuple[float, int]] = []
@@ -165,52 +173,54 @@ class Cluster:
         # would hide its entire backlog inside pending batches and the
         # depth cap would never fire.
         backlog: dict[str, int] = {}
+        index, count = 0, len(arrivals)
 
-        def dispatch(now: float) -> None:
+        while index < count or heap:
+            batch = None
+            if index < count:
+                request = arrivals[index]
+                now = request.arrival
+                if heap:
+                    top = heap[0]
+                    if top[0] < now or (top[0] == now
+                                        and top[1] == _COMPLETE):
+                        request = None
+            else:
+                request = None
+            if request is not None:
+                index += 1
+                workload = request.workload
+                if admit(request, backlog.get(workload, 0)):
+                    batch = try_form(queue, workload, now)
+                    if batch is None:
+                        ticket += 1
+                        heappush(heap, (now + max_wait, _TIMER, ticket,
+                                        workload))
+            else:
+                now, kind, _, workload = heappop(heap)
+                if kind == _TIMER:
+                    batch = try_form(queue, workload, now)
+                # A completion only frees a worker; dispatch reacts.
+            if batch is not None:
+                pending.append(batch)
+                backlog[workload] = backlog.get(workload, 0) + batch.size
             while pending:
                 worker = self._pick_worker(now)
                 if worker is None:
-                    return
+                    break
                 batch = self._next_batch(pending)
-                backlog[batch.workload] = \
-                    backlog.get(batch.workload, 0) - batch.size
+                backlog[batch.workload] -= batch.size
                 record = worker.execute(batch, now)
                 executions.append(record)
-                push(record.end, _COMPLETE, record)
-
-        def seal(batch: Batch) -> None:
-            pending.append(batch)
-            backlog[batch.workload] = \
-                backlog.get(batch.workload, 0) + batch.size
-
-        while heap:
-            now, kind, _, payload = heapq.heappop(heap)
-            if kind == _ARRIVAL:
-                request = payload
-                if self.queue.push(
-                        request,
-                        extra_depth=backlog.get(request.workload, 0)):
-                    batch = self.batcher.try_form(
-                        self.queue, request.workload, now)
-                    if batch is not None:
-                        seal(batch)
-                    else:
-                        push(now + self.batcher.max_wait, _TIMER,
-                             request.workload)
-            elif kind == _TIMER:
-                batch = self.batcher.try_form(self.queue, payload, now)
-                if batch is not None:
-                    seal(batch)
-            # _COMPLETE only frees a worker; dispatch below reacts.
-            dispatch(now)
-            queue_samples.append((now, self.queue.depth()))
+                ticket += 1
+                heappush(heap, (record.end, _COMPLETE, ticket, None))
+            queue_samples.append((now, depth()))
 
         makespan = max((e.end for e in executions), default=0.0)
         if offered_duration is None:
-            offered_duration = max(
-                (r.arrival for r in requests), default=0.0)
+            offered_duration = arrivals[-1].arrival if arrivals else 0.0
         return ServingResult(
-            requests=sorted(requests, key=lambda r: r.seq),
+            requests=sorted(requests, key=_SEQ),
             executions=executions,
             workers=self.workers,
             policy=self.policy,

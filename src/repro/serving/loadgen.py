@@ -15,12 +15,15 @@ platform, which keeps load tests and the CI smoke bench deterministic.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections.abc import Mapping
 
 from repro.serving.request import Request
 
 DEFAULT_SLO = 0.5
+
+_ARRIVAL_ORDER = operator.attrgetter("arrival", "seq")
 
 
 def poisson_arrivals(workload: str, qps: float, duration: float,
@@ -43,16 +46,15 @@ def poisson_arrivals(workload: str, qps: float, duration: float,
         raise ValueError(f"qps must be > 0, got {qps}")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    rng = random.Random(seed)
+    gap = random.Random(seed).expovariate
     requests = []
     now = 0.0
     seq = start_seq
     while True:
-        now += rng.expovariate(qps)
+        now += gap(qps)
         if now >= duration:
             break
-        requests.append(Request(seq=seq, workload=workload,
-                                arrival=now, slo=slo))
+        requests.append(Request(seq, workload, now, slo))
         seq += 1
     return requests
 
@@ -70,7 +72,7 @@ def mixed_arrivals(rates: Mapping[str, float], duration: float,
         streams.extend(poisson_arrivals(
             workload, rates[workload], duration, slo=slo,
             seed=seed * 1_000_003 + index))
-    streams.sort(key=lambda request: (request.arrival, request.seq))
+    streams.sort(key=_ARRIVAL_ORDER)
     for seq, request in enumerate(streams):
         request.seq = seq
     return streams
@@ -97,7 +99,7 @@ def arrivals_from_trace(path: str,
                 arrival=float(record["arrival"]),
                 slo=float(record.get("slo", default_slo)),
             ))
-    requests.sort(key=lambda request: (request.arrival, request.seq))
+    requests.sort(key=_ARRIVAL_ORDER)
     for seq, request in enumerate(requests):
         request.seq = seq
     return requests

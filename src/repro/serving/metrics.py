@@ -92,37 +92,48 @@ class ServingReport:
 
 def report(result: ServingResult) -> ServingReport:
     """Compute the full metrics report for one load test."""
-    completed = result.completed
-    latencies = [r.latency for r in completed]
-    queueing = [r.queueing_delay for r in completed]
-    violations = sum(1 for r in result.requests if r.violated_slo)
+    latencies: list[float] = []
+    queueing: list[float] = []
+    violations = 0
+    for request in result.requests:
+        # Request.latency, queueing_delay and violated_slo, in one pass.
+        completed = request.completed
+        if completed is None:
+            violations += request.dropped
+            continue
+        arrival = request.arrival
+        latencies.append(completed - arrival)
+        queueing.append(request.started - arrival)
+        violations += request.dropped or completed > arrival + request.slo
     histogram: dict[int, int] = {}
+    batched = 0
     for execution in result.executions:
-        size = execution.batch.size
+        size = len(execution.batch.requests)
         histogram[size] = histogram.get(size, 0) + 1
+        batched += size
+    depths = [depth for _, depth in result.queue_samples]
     horizon = max(result.makespan, result.offered_duration)
     return ServingReport(
         compiler=result.compiler,
         policy=result.policy,
         requests=len(result.requests),
-        completed=len(completed),
+        completed=len(latencies),
         dropped=result.dropped,
         offered_qps=(len(result.requests) / result.offered_duration
                      if result.offered_duration > 0 else 0.0),
-        completed_qps=(len(completed) / result.makespan
+        completed_qps=(len(latencies) / result.makespan
                        if result.makespan > 0 else 0.0),
         latency=summarize(latencies),
         queueing=summarize(queueing),
         slo_violation_rate=(violations / len(result.requests)
                             if result.requests else 0.0),
         batch_histogram=histogram,
-        mean_batch_size=mean(e.batch.size for e in result.executions),
+        mean_batch_size=(batched / len(result.executions)
+                         if result.executions else 0.0),
         worker_utilization={w.uid: w.utilization(horizon)
                             for w in result.workers},
-        mean_queue_depth=mean(depth for _, depth
-                              in result.queue_samples),
-        max_queue_depth=max((depth for _, depth
-                             in result.queue_samples), default=0),
+        mean_queue_depth=mean(depths),
+        max_queue_depth=max(depths, default=0),
         makespan=result.makespan,
     )
 

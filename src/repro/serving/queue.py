@@ -32,6 +32,7 @@ class AdmissionQueue:
         self.max_depth = max_depth
         self._buckets: dict[str, collections.deque[Request]] = \
             collections.defaultdict(collections.deque)
+        self._depth = 0  # total over the buckets, kept by push and take
         self.admitted = 0
         self.dropped = 0
 
@@ -53,6 +54,7 @@ class AdmissionQueue:
             self.dropped += 1
             return False
         bucket.append(request)
+        self._depth += 1
         self.admitted += 1
         return True
 
@@ -60,7 +62,12 @@ class AdmissionQueue:
         """Queued requests in one bucket (or across all of them)."""
         if workload is not None:
             return len(self._buckets[workload])
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return self._depth
+
+    def bucket(self, workload: str) -> collections.deque[Request]:
+        """The bucket's queued requests, oldest first (read only: dequeue
+        through :meth:`take`)."""
+        return self._buckets[workload]
 
     def oldest_arrival(self, workload: str) -> Optional[float]:
         """Arrival time of the bucket's head request (None if empty)."""
@@ -77,9 +84,8 @@ class AdmissionQueue:
     def take(self, workload: str, count: int) -> list[Request]:
         """Dequeue up to ``count`` requests from the bucket, FIFO order."""
         bucket = self._buckets[workload]
-        taken = []
-        while bucket and len(taken) < count:
-            taken.append(bucket.popleft())
+        taken = [bucket.popleft() for _ in range(min(count, len(bucket)))]
+        self._depth -= len(taken)
         return taken
 
     def workloads(self) -> list[str]:
