@@ -35,22 +35,21 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import operator
 from typing import Optional
 
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.queue import AdmissionQueue
-from repro.serving.request import Request
+from repro.serving.request import ARRIVAL_ORDER, Request
 from repro.serving.worker import Execution, ServiceTimeOracle, Worker
 
 POLICIES = ("fifo", "edf", "least-loaded")
 
-# Heap event kinds: at one timestamp a completion precedes the
-# arrivals there, and a timer follows them.
-_COMPLETE, _TIMER = 0, 2
+# Event kinds in their order at one timestamp.  Arrivals never enter
+# the heap: the next one is compared against the heap's head.
+_COMPLETE, _ARRIVAL, _TIMER = 0, 1, 2
 
-
-_ARRIVAL_ORDER = operator.attrgetter("arrival", "seq")
 _SEQ = operator.attrgetter("seq")
 _LEAST_LOADED = operator.attrgetter("busy_seconds", "uid")
 _LONGEST_FREE = operator.attrgetter("busy_until", "uid")
@@ -157,14 +156,14 @@ class Cluster:
             offered_duration: Nominal load duration for throughput math;
                 defaults to the last arrival time.
         """
-        arrivals = sorted(requests, key=_ARRIVAL_ORDER)
+        arrivals = sorted(requests, key=ARRIVAL_ORDER)
         queue, batcher = self.queue, self.batcher
         admit, try_form, depth = queue.push, batcher.try_form, queue.depth
         max_wait = batcher.max_wait
         heappush, heappop = heapq.heappush, heapq.heappop
         # Timers and completions as (time, kind, ticket, workload).
         heap: list[tuple[float, int, int, Optional[str]]] = []
-        ticket = 0
+        tickets = itertools.count()
         pending: list[Batch] = []
         executions: list[Execution] = []
         queue_samples: list[tuple[float, int]] = []
@@ -176,31 +175,21 @@ class Cluster:
         index, count = 0, len(arrivals)
 
         while index < count or heap:
-            batch = None
-            if index < count:
-                request = arrivals[index]
-                now = request.arrival
-                if heap:
-                    top = heap[0]
-                    if top[0] < now or (top[0] == now
-                                        and top[1] == _COMPLETE):
-                        request = None
+            if heap and (index == count or heap[0][:2]
+                         < (arrivals[index].arrival, _ARRIVAL)):
+                now, kind, _, workload = heappop(heap)
+                # A completion only frees a worker; dispatch reacts.
+                batch = try_form(queue, workload, now) \
+                    if kind == _TIMER else None
             else:
-                request = None
-            if request is not None:
+                request = arrivals[index]
                 index += 1
-                workload = request.workload
+                now, workload, batch = request.arrival, request.workload, None
                 if admit(request, backlog.get(workload, 0)):
                     batch = try_form(queue, workload, now)
                     if batch is None:
-                        ticket += 1
-                        heappush(heap, (now + max_wait, _TIMER, ticket,
-                                        workload))
-            else:
-                now, kind, _, workload = heappop(heap)
-                if kind == _TIMER:
-                    batch = try_form(queue, workload, now)
-                # A completion only frees a worker; dispatch reacts.
+                        heappush(heap, (now + max_wait, _TIMER,
+                                        next(tickets), workload))
             if batch is not None:
                 pending.append(batch)
                 backlog[workload] = backlog.get(workload, 0) + batch.size
@@ -212,8 +201,8 @@ class Cluster:
                 backlog[batch.workload] -= batch.size
                 record = worker.execute(batch, now)
                 executions.append(record)
-                ticket += 1
-                heappush(heap, (record.end, _COMPLETE, ticket, None))
+                heappush(heap, (record.end, _COMPLETE, next(tickets),
+                                None))
             queue_samples.append((now, depth()))
 
         makespan = max((e.end for e in executions), default=0.0)

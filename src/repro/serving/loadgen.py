@@ -15,15 +15,12 @@ platform, which keeps load tests and the CI smoke bench deterministic.
 from __future__ import annotations
 
 import json
-import operator
 import random
 from collections.abc import Mapping
 
-from repro.serving.request import Request
+from repro.serving.request import ARRIVAL_ORDER, Request
 
 DEFAULT_SLO = 0.5
-
-_ARRIVAL_ORDER = operator.attrgetter("arrival", "seq")
 
 
 def poisson_arrivals(workload: str, qps: float, duration: float,
@@ -72,7 +69,7 @@ def mixed_arrivals(rates: Mapping[str, float], duration: float,
         streams.extend(poisson_arrivals(
             workload, rates[workload], duration, slo=slo,
             seed=seed * 1_000_003 + index))
-    streams.sort(key=_ARRIVAL_ORDER)
+    streams.sort(key=ARRIVAL_ORDER)
     for seq, request in enumerate(streams):
         request.seq = seq
     return streams
@@ -99,7 +96,7 @@ def arrivals_from_trace(path: str,
                 arrival=float(record["arrival"]),
                 slo=float(record.get("slo", default_slo)),
             ))
-    requests.sort(key=_ARRIVAL_ORDER)
+    requests.sort(key=ARRIVAL_ORDER)
     for seq, request in enumerate(requests):
         request.seq = seq
     return requests

@@ -11,6 +11,7 @@ for queue-depth counters).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 from typing import Any
@@ -92,9 +93,7 @@ class ServingReport:
 
 def report(result: ServingResult) -> ServingReport:
     """Compute the full metrics report for one load test."""
-    latencies: list[float] = []
-    queueing: list[float] = []
-    violations = 0
+    latencies, queueing, violations = [], [], 0
     for request in result.requests:
         # Request.latency, queueing_delay and violated_slo, in one pass.
         completed = request.completed
@@ -105,12 +104,7 @@ def report(result: ServingResult) -> ServingReport:
         latencies.append(completed - arrival)
         queueing.append(request.started - arrival)
         violations += request.dropped or completed > arrival + request.slo
-    histogram: dict[int, int] = {}
-    batched = 0
-    for execution in result.executions:
-        size = len(execution.batch.requests)
-        histogram[size] = histogram.get(size, 0) + 1
-        batched += size
+    sizes = [len(e.batch.requests) for e in result.executions]
     depths = [depth for _, depth in result.queue_samples]
     horizon = max(result.makespan, result.offered_duration)
     return ServingReport(
@@ -127,9 +121,8 @@ def report(result: ServingResult) -> ServingReport:
         queueing=summarize(queueing),
         slo_violation_rate=(violations / len(result.requests)
                             if result.requests else 0.0),
-        batch_histogram=histogram,
-        mean_batch_size=(batched / len(result.executions)
-                         if result.executions else 0.0),
+        batch_histogram=dict(collections.Counter(sizes)),
+        mean_batch_size=mean(sizes),
         worker_utilization={w.uid: w.utilization(horizon)
                             for w in result.workers},
         mean_queue_depth=mean(depths),

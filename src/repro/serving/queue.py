@@ -65,8 +65,7 @@ class AdmissionQueue:
         return self._depth
 
     def bucket(self, workload: str) -> collections.deque[Request]:
-        """The bucket's queued requests, oldest first (read only: dequeue
-        through :meth:`take`)."""
+        """The bucket's queued requests, oldest first; dequeue by take."""
         return self._buckets[workload]
 
     def oldest_arrival(self, workload: str) -> Optional[float]:

@@ -18,6 +18,7 @@ that exceeds ``slo`` (equivalently, when ``completed > deadline``).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Optional
 
 
@@ -80,3 +81,7 @@ class Request:
     def __repr__(self) -> str:
         return (f"Request(#{self.seq} {self.workload} "
                 f"t={self.arrival:.4f} slo={self.slo * 1e3:.0f}ms)")
+
+
+#: Sort key of an arrival stream: arrival time, ties broken by ``seq``.
+ARRIVAL_ORDER = operator.attrgetter("arrival", "seq")

@@ -131,10 +131,6 @@ class Worker:
         self.busy_seconds = 0.0
         self.executions: list[Execution] = []
 
-    def idle_at(self, now: float) -> bool:
-        """True when the worker can start a batch at ``now``."""
-        return self.busy_until <= now
-
     def execute(self, batch: Batch, now: float) -> Execution:
         """Run ``batch`` starting no earlier than ``now``.
 
