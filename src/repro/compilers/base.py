@@ -213,8 +213,29 @@ class Compiler(abc.ABC):
     def pipeline_fingerprint(self, optimize: bool = False) -> str:
         """The composition digest of the pipeline a compile with
         ``optimize`` runs: the compiler's identity in compile-cache and
-        plan-cache keys."""
-        return self._pipeline(optimize).fingerprint()
+        plan-cache keys.
+
+        Built once per identity, not per call: the memo remembers the
+        attributes it was built from, so reassigning one (say
+        ``config``) keys the new pipeline, never a stale one.
+        """
+        state = {name: value for name, value in vars(self).items()
+                 if name != "_fingerprints"}
+        memo = self.__dict__.get("_fingerprints")
+        if memo is None or memo[0] != state:
+            memo = self.__dict__["_fingerprints"] = (state, {})
+        fingerprint = memo[1].get(optimize)
+        if fingerprint is None:
+            fingerprint = self._pipeline(optimize).fingerprint()
+            memo[1][optimize] = fingerprint
+        return fingerprint
+
+    def __getstate__(self):
+        # The fingerprint memo never persists: a compiler loaded under
+        # other code must rebuild its pipeline to key itself.
+        state = self.__dict__.copy()
+        state.pop("_fingerprints", None)
+        return state
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

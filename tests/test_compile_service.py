@@ -105,6 +105,30 @@ class TestCaching:
             is service.compile(graph, compiler)
         assert compiler.calls == 1
 
+    def test_key_builds_the_pipeline_once_per_identity(self, monkeypatch):
+        compiler = AStitchCompiler()
+        builds = []
+        build = compiler.build_pipeline
+        monkeypatch.setattr(compiler, "build_pipeline",
+                            lambda: builds.append(1) or build())
+        service, graph = _service(), micro.softmax_graph(8, 8)
+        for _ in range(3):
+            service.key_for(graph, compiler)
+            service.key_for(graph, compiler, optimize=True)
+        assert len(builds) == 2
+
+    def test_reassigned_config_keys_the_new_pipeline(self):
+        compiler = AStitchCompiler()
+        service, graph = _service(), micro.softmax_graph(8, 8)
+        full = service.key_for(graph, compiler)
+        compiler.config = dataclasses.replace(compiler.config, tune=False)
+        heuristic = service.key_for(graph, compiler)
+        assert heuristic.pipeline != full.pipeline
+        assert heuristic.pipeline == \
+            compiler.build_pipeline().fingerprint()
+        compiler.config = AStitchCompiler().config
+        assert service.key_for(graph, compiler) == full
+
     def test_max_workers_accepts_only_zero(self):
         CompileService(cache=CompileCache(), max_workers=0)
         with pytest.raises(ValueError, match="max_workers"):
