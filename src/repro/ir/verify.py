@@ -35,6 +35,12 @@ from repro.ir.graph import Graph, Node
 from repro.ir.ops import ELEMENTWISE, OPERATORS, SOURCES, OpKind
 from repro.ir.shape import broadcast_result_shape
 
+# Module-level aliases: an ``OpKind.X`` read runs ``EnumType``'s
+# attribute hook under Python 3.11, and every node is checked.
+_REDUCE, _BROADCAST, _RESHAPE, _TRANSPOSE, _CONSTANT = (
+    OpKind.REDUCE, OpKind.BROADCAST, OpKind.RESHAPE, OpKind.TRANSPOSE,
+    OpKind.CONSTANT)
+
 # SELECT's predicate operand is boolean-like; only the value operands
 # must agree with the result dtype.
 _DTYPE_EXEMPT_OPERANDS = {OpKind.SELECT: (0,)}
@@ -84,7 +90,7 @@ def _check_constant(node: Node, violations: list[str]) -> None:
 
 def _check_node_shapes(node: Node, violations: list[str]) -> None:
     """The shape rules of the ops that are not element-wise."""
-    if node.kind is OpKind.REDUCE:
+    if node.kind is _REDUCE:
         in_shape = node.operands[0].shape
         axes = node.reduce_axes
         if any(axis < 0 or axis >= in_shape.rank for axis in axes):
@@ -97,20 +103,20 @@ def _check_node_shapes(node: Node, violations: list[str]) -> None:
             violations.append(
                 f"{node.name}: reduce of {in_shape!r} over axes {axes} "
                 f"should give {expected!r}, declared {node.shape!r}")
-    elif node.kind is OpKind.BROADCAST:
+    elif node.kind is _BROADCAST:
         try:
             broadcast_result_shape(node.operands[0].shape, node.shape,
                                    node.broadcast_dims)
         except (KeyError, ValueError) as error:
             violations.append(f"{node.name}: invalid broadcast "
                               f"({error})")
-    elif node.kind is OpKind.RESHAPE:
+    elif node.kind is _RESHAPE:
         if node.num_elements != node.operands[0].num_elements:
             violations.append(
                 f"{node.name}: reshape changes element count "
                 f"({node.operands[0].num_elements} -> "
                 f"{node.num_elements})")
-    elif node.kind is OpKind.TRANSPOSE:
+    elif node.kind is _TRANSPOSE:
         perm = tuple(node.attrs.get("permutation", ()))
         if sorted(perm) != list(range(node.operands[0].shape.rank)):
             violations.append(
@@ -154,7 +160,7 @@ def verify_graph(graph: Graph) -> list[str]:
         if source:
             if operands:
                 violations.append(f"{node.name}: source op has operands")
-            if node.kind is OpKind.CONSTANT:
+            if node.kind is _CONSTANT:
                 _check_constant(node, violations)
         elif elementwise:
             _check_elementwise(node, exempt, violations)
