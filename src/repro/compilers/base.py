@@ -230,13 +230,6 @@ class Compiler(abc.ABC):
             memo[1][optimize] = fingerprint
         return fingerprint
 
-    def __getstate__(self):
-        # The fingerprint memo never persists: a compiler loaded under
-        # other code must rebuild its pipeline to key itself.
-        state = self.__dict__.copy()
-        state.pop("_fingerprints", None)
-        return state
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
