@@ -224,11 +224,10 @@ class Compiler(abc.ABC):
         memo = self.__dict__.get("_fingerprints")
         if memo is None or memo[0] != state:
             memo = self.__dict__["_fingerprints"] = (state, {})
-        fingerprint = memo[1].get(optimize)
-        if fingerprint is None:
-            fingerprint = self._pipeline(optimize).fingerprint()
-            memo[1][optimize] = fingerprint
-        return fingerprint
+        built = memo[1]
+        if optimize not in built:
+            built[optimize] = self._pipeline(optimize).fingerprint()
+        return built[optimize]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
