@@ -39,6 +39,12 @@ from repro.ir.graph import Graph, Node
 from repro.ir.ops import OpKind
 from repro.ir import patterns
 
+# Module-level aliases of the kinds: under Python 3.11 an ``OpKind.X``
+# read runs ``EnumType``'s attribute hook (~190 ns, ~15 ns for an
+# alias), and the analysis reads one or more per scope node.
+_REDUCE, _BROADCAST, _CONSTANT = (OpKind.REDUCE, OpKind.BROADCAST,
+                                  OpKind.CONSTANT)
+
 
 @dataclasses.dataclass
 class GroupInfo:
@@ -93,7 +99,7 @@ def dominant_candidates(graph: Graph, scope_nodes: list[Node]) -> list[Node]:
         is_output = (node in graph_outputs
                      or any(u not in scope_set for u in graph.users(node))
                      or not graph.users(node))
-        if (node.kind is OpKind.REDUCE
+        if (node.kind is _REDUCE
                 or patterns.is_heavy_followed_by_broadcast(graph, node)
                 or is_output):
             candidates.append(node)
@@ -109,7 +115,7 @@ def dominant_weight(node: Node) -> int:
     every comparison of two weights, and a reuse re-checks them
     (:func:`guards_hold`).
     """
-    if node.kind is OpKind.REDUCE:
+    if node.kind is _REDUCE:
         return node.operands[0].num_elements
     return node.num_elements
 
@@ -123,8 +129,8 @@ def _prefer_dominant(a: Node, b: Node,
     Each weight comparison made is appended to ``compared`` as
     ``(a, b, sign of weight(a) - weight(b))``.
     """
-    a_reduce = a.kind is OpKind.REDUCE
-    b_reduce = b.kind is OpKind.REDUCE
+    a_reduce = a.kind is _REDUCE
+    b_reduce = b.kind is _REDUCE
     if a_reduce != b_reduce:
         return a if a_reduce else b
     weight_a, weight_b = dominant_weight(a), dominant_weight(b)
@@ -161,7 +167,7 @@ def analyze_scope(graph: Graph, scope_nodes: list[Node],
             if operand not in scope_set:
                 continue
             cut = (operand in candidate_set
-                   and node.kind is OpKind.BROADCAST
+                   and node.kind is _BROADCAST
                    and node.num_elements > operand.num_elements)
             if cut:
                 continue
@@ -284,7 +290,7 @@ def analyze_scope(graph: Graph, scope_nodes: list[Node],
         for operand in node.operands:
             if operand in scope_set:
                 continue
-            if operand.kind is OpKind.CONSTANT \
+            if operand.kind is _CONSTANT \
                     and operand.shape.num_elements == 1:
                 continue
             reader_groups.setdefault(operand, set()).update(

@@ -40,6 +40,13 @@ from repro.ir.interpreter import compile_node
 from repro.ir.ops import OpKind
 from repro.store import TieredStore, register
 
+# Module-level aliases of the kinds: under Python 3.11 an ``OpKind.X``
+# read runs ``EnumType``'s attribute hook (~190 ns, ~15 ns for an
+# alias), and the sweep reads several per node.
+(_PARAMETER, _CONSTANT, _BROADCAST, _RESHAPE, _TRANSPOSE, _NEGATE) = (
+    OpKind.PARAMETER, OpKind.CONSTANT, OpKind.BROADCAST, OpKind.RESHAPE,
+    OpKind.TRANSPOSE, OpKind.NEGATE)
+
 # Report keys, one per kind of rewrite the sweep counts.
 ALGEBRAIC = "algebraic_simplification"
 FOLDING = "constant_folding"
@@ -129,10 +136,10 @@ _IDENTITIES = {
 
 
 def _is_constant_scalar(node: Node, value: float) -> bool:
-    if node.kind is OpKind.CONSTANT:
+    if node.kind is _CONSTANT:
         payload = np.asarray(node.attrs["value"])
         return payload.size == 1 and float(payload.reshape(-1)[0]) == value
-    if node.kind is OpKind.BROADCAST:
+    if node.kind is _BROADCAST:
         return _is_constant_scalar(node.operands[0], value)
     return False
 
@@ -173,7 +180,7 @@ class _Sweep:
         scalar in the source that folding has since spread into a
         full-size constant.
         """
-        if node.kind is OpKind.PARAMETER:
+        if node.kind is _PARAMETER:
             self.built.append(node)
             return node
         is_output = source in self.outputs
@@ -183,13 +190,13 @@ class _Sweep:
                 self.changes[ALGEBRAIC] += 1
                 return replacement
             if (node.operands
-                    and all(op.kind is OpKind.CONSTANT
+                    and all(op.kind is _CONSTANT
                             for op in node.operands)
                     and not node.is_compute_intensive()):
                 values = [constant_value(op) for op in node.operands]
                 result = np.asarray(compile_node(node)(values),
                                     dtype=node.dtype.to_numpy())
-                node = Node(-1, "folded", OpKind.CONSTANT, [], node.shape,
+                node = Node(-1, "folded", _CONSTANT, [], node.shape,
                             node.dtype, {"value": result})
                 self.changes[FOLDING] += 1
         key, payloads = _structural_key(node)
@@ -215,22 +222,22 @@ class _Sweep:
                         or (source is not node and _is_constant_scalar(
                             source.operands[i], value))):
                     return ops[1 - i]
-        elif kind is OpKind.NEGATE:
+        elif kind is _NEGATE:
             inner = source.operands[0]
-            if inner.kind is OpKind.NEGATE:
+            if inner.kind is _NEGATE:
                 return self.mapping[inner.operands[0]]
-            if ops[0].kind is OpKind.NEGATE:
+            if ops[0].kind is _NEGATE:
                 return ops[0].operands[0]
-        elif kind is OpKind.RESHAPE:
+        elif kind is _RESHAPE:
             inner = ops[0]
             if node.shape == inner.shape:
                 return inner
-            if inner.kind is OpKind.RESHAPE:
-                rebuilt = Node(-1, "reshape", OpKind.RESHAPE,
+            if inner.kind is _RESHAPE:
+                rebuilt = Node(-1, "reshape", _RESHAPE,
                                [inner.operands[0]], node.shape,
                                node.dtype, {})
                 return self.construct(rebuilt, rebuilt)
-        elif kind is OpKind.TRANSPOSE:
+        elif kind is _TRANSPOSE:
             if tuple(node.attrs["permutation"]) == tuple(
                     range(node.shape.rank)):
                 return ops[0]
@@ -243,7 +250,7 @@ class _Sweep:
         outputs = [self.mapping[out] for out in graph.outputs]
         live = graph.reachable_from(outputs)
         kept = [n for n in self.built
-                if n in live or n.kind is OpKind.PARAMETER]
+                if n in live or n.kind is _PARAMETER]
         self.changes[DCE] = len(self.built) - len(kept)
         if not any(self.changes.values()):
             return graph

@@ -29,6 +29,7 @@ from repro.gpu.spec import GPUSpec, V100
 from repro.ir.graph import Graph
 from repro.pipeline.base import CompileState, PassReport, Pipeline
 from repro.pipeline.verify import check_graph
+from repro.store import collector_paused
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +68,7 @@ class PassManager:
         self.pipeline = pipeline
         self.validate = validate
 
+    @collector_paused()
     def run(self, graph: Graph, spec: GPUSpec = V100) -> PipelineRun:
         """Compile ``graph`` through the pipeline.
 

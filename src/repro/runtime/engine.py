@@ -21,6 +21,7 @@ from repro.compilers.base import CompiledModule, kernel_memcpys
 from repro.gpu.costmodel import cost_model_for
 from repro.gpu.counters import PerfCounters
 from repro.gpu.spec import GPUSpec, V100
+from repro.store import collector_paused
 
 if TYPE_CHECKING:
     from repro.runtime.plan import ExecutionPlan, PlanCache
@@ -213,6 +214,7 @@ class Engine:
             self.plan_cache.put(key, plan)
         return plan
 
+    @collector_paused()
     def build_plan(self, module: CompiledModule) -> "ExecutionPlan":
         """Price every step of one iteration into an immutable plan.
 

@@ -19,6 +19,8 @@ the whole device spec.  :func:`key_digest` names every persisted file.
 
 Every process-wide memo of the package registers here by name
 (:func:`register`); :func:`reset_caches` clears them all.
+:func:`collector_paused` is the one place the package touches the
+cyclic garbage collector.
 
 An entry on disk carries a header — the store's format version, the
 :func:`source_digest` of the code that wrote it, and the full key — and
@@ -36,6 +38,7 @@ import collections
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import os
 import pathlib
@@ -332,3 +335,48 @@ class ProcessDefault(Generic[T]):
 
     def __len__(self) -> int:
         return int(self._instance is not None)
+
+
+class _CollectorPause(contextlib.ContextDecorator):
+    """The cyclic collector, off while any thread is inside a pause.
+
+    One depth count for the whole process, because the collector is
+    process-wide: the outermost entry of any thread disables it, and
+    the last exit re-enables it only if it was enabled at that entry.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> "_CollectorPause":
+        with self._lock:
+            if not self._depth:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
+def collector_paused() -> _CollectorPause:
+    """Pause the cyclic garbage collector, as a context manager or a
+    decorator; the caller's collector state is restored on exit, also
+    when the body raises.
+
+    The package's graphs, modules and plans hold no reference cycles
+    (``tests/test_acyclic_heap.py`` pins it): reference counting frees
+    them, and a collection while one is built only re-walks a growing
+    live heap.  A cycle made inside a pause is still collected, only
+    later.
+    """
+    return _COLLECTOR_PAUSE

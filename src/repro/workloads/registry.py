@@ -17,7 +17,7 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.ir.graph import Graph
-from repro.store import TieredStore, register
+from repro.store import TieredStore, collector_paused, register
 from repro.workloads.asr import build_asr
 from repro.workloads.bert import build_bert
 from repro.workloads.crnn import build_crnn
@@ -96,6 +96,7 @@ def training_workloads() -> list[str]:
     return [name for name, spec in WORKLOADS.items() if spec.training]
 
 
+@collector_paused()
 def build(name: str, training: bool = False,
           batch: Optional[int] = None) -> Graph:
     """Build a registered workload graph.

@@ -15,14 +15,10 @@ from repro.ir.builder import GraphBuilder
 from repro.ir.fingerprint import graph_fingerprint
 from repro.ir.interpreter import random_feeds
 from repro.runtime import Engine
-from repro.runtime.compile_cache import (
-    CACHE_FORMAT_VERSION,
-    CacheKey,
-    CompileCache,
-)
+from repro.runtime.compile_cache import CacheKey, CompileCache
 from repro.runtime.compile_service import CompileService
 from repro.runtime.plan import PlanCache, module_pricing_signature
-from repro.store import key_digest, source_digest
+from repro.store import key_digest
 from repro.workloads import micro
 
 
@@ -98,49 +94,6 @@ class TestPersistentTier:
         got, want = served.execute(feeds), fresh.execute(feeds)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
-
-    def test_corrupt_file_degrades_to_miss(self, tmp_path):
-        graph = micro.softmax_graph(8, 8)
-        key = _key(graph)
-        CompileCache(cache_dir=tmp_path).put(key, _compile(graph))
-        path = tmp_path / f"{key_digest(key)}.pkl"
-        path.write_bytes(b"not a pickle")
-        cache = CompileCache(cache_dir=tmp_path)
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1
-
-    def test_version_mismatch_invalidates(self, tmp_path):
-        graph = micro.softmax_graph(8, 8)
-        key = _key(graph)
-        module = _compile(graph)
-        stale = {"version": CACHE_FORMAT_VERSION + 1,
-                 "code": source_digest(), "key": key, "value": module}
-        path = tmp_path / f"{key_digest(key)}.pkl"
-        path.write_bytes(pickle.dumps(stale))
-        assert CompileCache(cache_dir=tmp_path).get(key) is None
-
-    def test_key_collision_rejected(self, tmp_path):
-        """A file whose embedded key disagrees (e.g. a digest collision
-        or a tampered entry) must not be served."""
-        graph = micro.softmax_graph(8, 8)
-        key = _key(graph)
-        other = _key(graph, spec=T4)
-        payload = {"version": CACHE_FORMAT_VERSION,
-                   "code": source_digest(), "key": other,
-                   "value": _compile(graph)}
-        path = tmp_path / f"{key_digest(key)}.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        assert CompileCache(cache_dir=tmp_path).get(key) is None
-
-    def test_eviction_keeps_disk_copy(self, tmp_path):
-        cache = CompileCache(capacity=1, cache_dir=tmp_path)
-        g1, g2 = micro.row_reduce(4, 4), micro.row_reduce(4, 5)
-        k1, k2 = _key(g1), _key(g2)
-        cache.put(k1, _compile(g1))
-        cache.put(k2, _compile(g2))   # evicts k1 from memory
-        assert cache.stats.evictions == 1
-        assert cache.get(k1) is not None
-        assert cache.stats.disk_hits == 1
 
     def test_deep_chain_persists_at_default_recursion_limit(
             self, tmp_path, monkeypatch):

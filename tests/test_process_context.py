@@ -1,9 +1,11 @@
 """One process context: every process-wide memo is registered with
-``repro.store``, and ``repro.reset_caches()`` returns the process to the
-cold state of a fresh interpreter.
+``repro.store``, ``repro.reset_caches()`` returns the process to the
+cold state of a fresh interpreter, and ``repro.store.collector_paused``
+leaves the garbage collector as it found it.
 """
 
 import dataclasses
+import gc
 import importlib
 import json
 import os
@@ -12,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import weakref
 
 import pytest
@@ -25,6 +28,7 @@ from repro.gpu.occupancy import occupancy_cache_info
 from repro.gpu.spec import V100
 from repro.ir.interpreter import evaluate, random_feeds
 from repro.ir.passes import SIMPLIFY_MEMO
+from repro.pipeline import PassManager
 from repro.runtime.compile_cache import default_cache
 from repro.runtime.compile_service import default_service
 from repro.runtime.engine import Engine
@@ -130,3 +134,121 @@ class TestRegistryCompleteness:
             if isinstance(memo, store.TieredStore):
                 assert re.search(rf"^{re.escape(name)} +\d", out,
                                  re.MULTILINE), name
+
+
+@pytest.fixture
+def collector_enabled():
+    """Run the test with the cyclic collector on; restore it after."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_enabled")
+class TestCollectorPause:
+    def test_nested_pauses_restore_only_at_the_outermost_exit(self):
+        with store.collector_paused():
+            assert not gc.isenabled()
+            with store.collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        with store.collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_restores_after_an_exception(self):
+        @store.collector_paused()
+        def fail():
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            fail()
+        assert gc.isenabled()
+
+    def test_overlapping_threads_share_one_pause(self):
+        """Thread A enters, B enters, A leaves, B leaves: off while
+        either is inside, on after both."""
+        entered, a_left = threading.Barrier(2), threading.Barrier(2)
+        seen = {}
+
+        def first():
+            with store.collector_paused():
+                entered.wait(timeout=10)
+            a_left.wait(timeout=10)
+
+        def second():
+            with store.collector_paused():
+                entered.wait(timeout=10)
+                a_left.wait(timeout=10)
+                seen["inside after A left"] = gc.isenabled()
+
+        threads = [threading.Thread(target=first),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"inside after A left": False}
+        assert gc.isenabled()
+
+    def test_many_threads_never_see_the_collector_on_inside(self):
+        """A lost update of the depth count would re-enable the
+        collector while another thread is still inside, or leave it
+        off after every thread left."""
+        seen_on = []
+
+        def enter_often():
+            for _ in range(3000):
+                with store.collector_paused():
+                    if gc.isenabled():
+                        seen_on.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=enter_often)
+                       for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen_on == []
+        assert gc.isenabled()
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_no_collection_inside_build_compile_or_plan(self):
+        """The parent ran 9 young collections inside these calls on
+        BERT batch 2; the first allocation after each pause may still
+        run the young collection it deferred."""
+        paused = {getattr(function, "__wrapped__", function).__code__
+                  for function in (registry.build, PassManager.run,
+                                   Engine.build_plan)}
+        inside = []
+
+        def count(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in paused:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                inside.append((info["generation"], frame.f_code.co_name))
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            graph = registry.build("BERT", batch=2)
+            module = AStitchCompiler().compile(graph, V100)
+            Engine(V100).plan(module)
+        finally:
+            gc.callbacks.remove(count)
+        assert inside == []

@@ -16,7 +16,6 @@ from repro.ir.builder import GraphBuilder
 from repro.runtime import engine as engine_mod
 from repro.runtime.engine import Engine, EngineConfig
 from repro.runtime.plan import (
-    PLAN_FORMAT_VERSION,
     ExecutionPlan,
     PlanCache,
     PlanKey,
@@ -182,22 +181,6 @@ class TestPlanKeyInvalidation:
 
 
 class TestPlanCache:
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
-        engine = Engine(plan_cache=cache)
-        engine.plan(_module(micro.softmax_graph(8, 8)))
-        engine.plan(_module(micro.softmax_graph(16, 8)))
-        engine.plan(_module(micro.softmax_graph(32, 8)))
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        # The first plan was evicted: pricing it again misses.
-        engine.plan(_module(micro.softmax_graph(8, 8)))
-        assert cache.stats.misses == 4
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
-
     def test_disk_tier_round_trip(self, tmp_path):
         module = _module()
         store = PlanCache(cache_dir=tmp_path)
@@ -212,31 +195,6 @@ class TestPlanCache:
         assert loaded.total_time == plan.total_time
         assert [s.duration for s in loaded.steps] \
             == [s.duration for s in plan.steps]
-
-    def test_disk_version_mismatch_misses(self, tmp_path):
-        module = _module()
-        store = PlanCache(cache_dir=tmp_path)
-        plan = Engine(plan_cache=store).plan(module)
-        key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key_digest(key)}.pkl"
-        payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == PLAN_FORMAT_VERSION
-        payload["version"] = PLAN_FORMAT_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
-        load = PlanCache(cache_dir=tmp_path)
-        assert load.get(key) is None
-        del plan
-
-    def test_corrupt_disk_entry_ignored(self, tmp_path):
-        module = _module()
-        store = PlanCache(cache_dir=tmp_path)
-        Engine(plan_cache=store).plan(module)
-        key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key_digest(key)}.pkl"
-        path.write_bytes(b"not a pickle")
-        load = PlanCache(cache_dir=tmp_path)
-        assert load.get(key) is None
-        assert load.stats.misses == 1
 
     def test_default_cache_process_wide(self, fresh_caches):
         first = default_plan_cache()
